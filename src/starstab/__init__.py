@@ -7,7 +7,7 @@ graphs, and certify minimality and extremal uniqueness by complete
 isomorph-free enumeration at desk scale.
 """
 
-from .canon import CanonicalCode, canonical_form, is_isomorphic, support
+from .canon import CanonicalCode, canonical_form, is_isomorphic
 from .certify import (
     Certificate,
     certify,
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    VertexSet,
     complement,
     complete,
     conjunction,
@@ -52,7 +51,6 @@ from .graph import (
 )
 from .stability import (
     StabilityVerdict,
-    classify_low_degree,
     contains_subgraph,
     is_stable_general,
     is_star_stable,
@@ -84,11 +82,9 @@ __all__ = [
     "StabResult",
     "StabilityVerdict",
     "StarstabError",
-    "VertexSet",
     "bch_construct",
     "canonical_form",
     "certify",
-    "classify_low_degree",
     "complement",
     "complete",
     "conjunction",
@@ -117,7 +113,6 @@ __all__ = [
     "stab_value",
     "star",
     "star_stable",
-    "support",
     "with_edge",
     "write_certificate",
 ]

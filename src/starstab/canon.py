@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet, complement, encode_graph6, permute
+from .graph import Graph, complement, encode_graph6, permute
 
 
 @dataclass(frozen=True, order=True)
@@ -26,11 +26,6 @@ class CanonicalCode:
     """Isomorphism-class identifier: canonical graph6 text."""
 
     code: str
-
-
-def support(g: Graph) -> VertexSet:
-    """Vertices of degree >= 1."""
-    return frozenset(v for v in range(g.n) if g.rows[v])
 
 
 def canonical_form(g: Graph) -> CanonicalCode:
@@ -130,5 +125,4 @@ def _min_order(g: Graph) -> tuple[int, ...]:
     for v in range(n):
         initial.setdefault(rows[v].bit_count(), []).append(v)
     search(_refine(rows, [initial[d] for d in sorted(initial)]))
-    assert best[0] is not None
     return best[0][1]

@@ -172,17 +172,19 @@ def _validate_embedding(
 ) -> None:
     psi = dict(pairs)
     images = list(psi.values())
-    assert len(set(images)) == len(images), "embedding must be injective"
+    if len(set(images)) != len(images):
+        raise InvalidParameterError("embedding must be injective")
     nfaults = len(faults)
     for src, dst in pairs:
-        assert src <= dst <= src + nfaults <= src + instance.k, \
-            f"image of label {src} drifted to {dst}"
-        assert dst not in faults
+        if not src <= dst <= src + nfaults <= src + instance.k or dst in faults:
+            raise InvalidParameterError(
+                f"image of label {src} is {dst}, not a surviving label within the shift bound")
     label = instance.labelling.label_of
     for u, v in instance.pattern.edges():
         a, b = psi[label(u)], psi[label(v)]
-        assert instance.result.adjacent(a - 1, b - 1), \
-            f"pattern edge with labels ({label(u)}, {label(v)}) lost under the embedding"
+        if not instance.result.adjacent(a - 1, b - 1):
+            raise InvalidParameterError(
+                f"pattern edge with labels ({label(u)}, {label(v)}) lost under the embedding")
 
 
 def star_instance(r: int, k: int, labelling: Labelling | None = None) -> LabeledInstance:

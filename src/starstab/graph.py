@@ -22,9 +22,6 @@ from .errors import CapacityExceededError, Graph6ParseError, InvalidParameterErr
 MAX_ORDER = 64
 GRAPH6_MAX_ORDER = 62
 
-# A vertex subset of a host graph is just a frozenset of indices.
-VertexSet = frozenset
-
 
 @dataclass(frozen=True)
 class Graph:

@@ -13,26 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canon import is_isomorphic
 from .errors import InvalidParameterError
-from .graph import Graph, complement, induced_delete, near_complete_regular
+from .graph import Graph, complement, induced_delete
 
 __all__ = [
-    "NOT_APPLICABLE",
     "StabilityVerdict",
-    "UNIQUE_REGULAR_SURVIVOR",
-    "UNSTABLE",
-    "classify_low_degree",
     "contains_subgraph",
     "is_stable_general",
     "is_star_stable",
     "sparse_complement_guarantees_stable",
-    "star_stable_by_subsets",
 ]
-
-NOT_APPLICABLE = "not-applicable"
-UNIQUE_REGULAR_SURVIVOR = "the-unique-regular-survivor"
-UNSTABLE = "unstable"
 
 
 @dataclass(frozen=True)
@@ -144,24 +134,6 @@ def is_stable_general(g: Graph, pattern: Graph, k: int) -> StabilityVerdict:
     return StabilityVerdict(True, None, checked)
 
 
-def star_stable_by_subsets(g: Graph, r: int, k: int) -> bool:
-    """Cross-check oracle for graphs of order exactly r+k+1.
-
-    At exact order, stability is equivalent to every (r+1)-subset containing a
-    vertex adjacent to all other vertices of the subset.
-    """
-    if g.n != r + k + 1:
-        raise InvalidParameterError(
-            f"subset criterion applies at order r+k+1 = {r + k + 1}, got {g.n}")
-    for subset in combinations(range(g.n), r + 1):
-        smask = 0
-        for v in subset:
-            smask |= 1 << v
-        if not any(smask & ~(1 << v) & ~g.rows[v] == 0 for v in subset):
-            return False
-    return True
-
-
 def sparse_complement_guarantees_stable(g: Graph, r: int) -> bool:
     """Accelerator: with fewer than ceil((r+1)/2) complement edges, at most r
     vertices miss any neighbour, so some survivor is always total.
@@ -170,24 +142,3 @@ def sparse_complement_guarantees_stable(g: Graph, r: int) -> bool:
     the order precondition separately.
     """
     return complement(g).size < (r + 2) // 2
-
-
-def classify_low_degree(g: Graph, r: int, k: int) -> str:
-    """Classify a graph of order r+k+1 whose stability hinges on regularity.
-
-    Graphs with a total vertex are out of scope (``not-applicable``). Among
-    the rest, only the complement of a perfect matching can be stable, and
-    only for even r with odd k.
-    """
-    if r < 3:
-        raise InvalidParameterError(f"star patterns require r >= 3, got {r}")
-    if k < 0:
-        raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
-    if g.n != r + k + 1:
-        raise InvalidParameterError(
-            f"classification applies at order r+k+1 = {r + k + 1}, got {g.n}")
-    if g.max_degree() == r + k:
-        return NOT_APPLICABLE
-    if r % 2 == 0 and k % 2 == 1 and is_isomorphic(g, near_complete_regular(r + k + 1)):
-        return UNIQUE_REGULAR_SURVIVOR
-    return UNSTABLE

@@ -14,7 +14,6 @@ from starstab import (
     permute,
     star,
     star_stable,
-    support,
 )
 
 
@@ -153,19 +152,3 @@ class TestIsIsomorphic:
             else:
                 h = random_graph(rng, n)
             assert is_isomorphic(g, h) == brute_isomorphic(g, h)
-
-
-class TestSupport:
-    def test_empty(self):
-        assert support(empty(5)) == frozenset()
-
-    def test_star(self):
-        assert support(star(3)) == frozenset(range(4))
-
-    def test_matching(self):
-        g = from_edges(6, [(0, 1), (2, 3), (4, 5)])
-        assert support(g) == frozenset(range(6))
-
-    def test_partial(self):
-        g = from_edges(5, [(1, 3)])
-        assert support(g) == frozenset({1, 3})

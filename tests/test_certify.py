@@ -203,7 +203,7 @@ class TestGraphsOfOrderAndSize:
 
 class TestCertify:
     def test_smallest_instance(self):
-        cert = certify(3, 1, cross_check=True)
+        cert = certify(3, 1)
         assert cert.claimed_value == 7
         assert cert.minimality_ok
         assert cert.candidates_below == 6
@@ -212,15 +212,10 @@ class TestCertify:
         assert cert.extremal_found == cert.extremal_expected
 
     def test_zero_budget_instance(self):
-        cert = certify(3, 0, cross_check=True)
+        cert = certify(3, 0)
         assert cert.claimed_value == 3
         assert cert.minimality_ok and cert.match
         assert len(cert.extremal_found) == 1
-
-    def test_cross_checked_even_r(self):
-        cert = certify(4, 1, cross_check=True)
-        assert cert.claimed_value == 9
-        assert cert.minimality_ok and cert.match
 
     def test_deterministic_modulo_elapsed(self):
         a = dataclasses.replace(certify(3, 2), elapsed=0.0)

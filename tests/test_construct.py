@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import starstab
 from starstab import (
     Embedding,
     InvalidParameterError,
@@ -192,6 +198,31 @@ class TestRecoveryEmbedding:
         assert embedding[2] == 3
         with pytest.raises(KeyError):
             embedding[9]
+
+    def test_lost_pattern_edge_refused_under_optimize_flag(self):
+        # python -O strips assert statements; the embedding check must still run.
+        code = textwrap.dedent("""
+            import dataclasses
+            from starstab import InvalidParameterError, from_edges, recovery_embedding
+            from starstab.construct import star_instance
+
+            instance = star_instance(3, 1)
+            g = instance.result
+            # labels 2 and 3 carry the center-leaf edge once label 1 has failed
+            broken = dataclasses.replace(
+                instance, result=from_edges(g.n, [e for e in g.edges() if e != (1, 2)]))
+            try:
+                recovery_embedding(broken, [1])
+            except InvalidParameterError as exc:
+                print("refused:", exc)
+            else:
+                raise SystemExit("corrupted instance accepted")
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(starstab.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("refused: pattern edge with labels (1, 2) lost")
 
 
 def test_default_star_labelling_center_first():

@@ -5,28 +5,24 @@ import pytest
 
 from starstab import (
     InvalidParameterError,
-    classify_low_degree,
+    canonical_form,
     complement,
     complete,
     contains_subgraph,
     empty,
     from_edges,
+    graphs_of_order_and_size,
     induced_delete,
     is_stable_general,
     is_star_stable,
     near_complete_regular,
     pad,
+    stab_value,
     star,
     star_stable,
     with_edge,
 )
-from starstab.stability import (
-    NOT_APPLICABLE,
-    UNIQUE_REGULAR_SURVIVOR,
-    UNSTABLE,
-    sparse_complement_guarantees_stable,
-    star_stable_by_subsets,
-)
+from starstab.stability import sparse_complement_guarantees_stable
 
 
 def random_graph(rng, n, p=0.5):
@@ -36,6 +32,24 @@ def random_graph(rng, n, p=0.5):
 
 def cycle(n):
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star_stable_by_subsets(g, r, k):
+    """Reference oracle for graphs of order exactly r+k+1.
+
+    At exact order, stability is equivalent to every (r+1)-subset containing a
+    vertex adjacent to all other vertices of the subset.
+    """
+    if g.n != r + k + 1:
+        raise InvalidParameterError(
+            f"subset criterion applies at order r+k+1 = {r + k + 1}, got {g.n}")
+    for subset in combinations(range(g.n), r + 1):
+        smask = 0
+        for v in subset:
+            smask |= 1 << v
+        if not any(smask & ~(1 << v) & ~g.rows[v] == 0 for v in subset):
+            return False
+    return True
 
 
 WORKED_PATTERN = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
@@ -174,6 +188,18 @@ class TestSubsetCriterion:
             g = random_graph(rng, r + k + 1, rng.random())
             assert star_stable_by_subsets(g, r, k) == is_star_stable(g, r, k).stable
 
+    def test_agrees_on_every_certify_census_class(self):
+        # the classes certify decides: order r+k+1, one edge below the claimed
+        # minimum and at it
+        for r, k in [(3, 0), (3, 1), (3, 2), (4, 1), (4, 2)]:
+            value = stab_value(r, k)
+            for m in (value - 1, value):
+                for g in graphs_of_order_and_size(r + k + 1, m):
+                    expected = star_stable_by_subsets(g, r, k)
+                    assert is_star_stable(g, r, k).stable == expected
+                    if sparse_complement_guarantees_stable(g, r):
+                        assert expected
+
 
 class TestSparseComplementAccelerator:
     def test_never_contradicts_exhaustive_check(self):
@@ -211,45 +237,19 @@ class TestEdgeMonotonicity:
                 assert is_star_stable(with_edge(g, u, v), r, k).stable
 
 
-class TestClassifyLowDegree:
-    def test_survivor(self):
-        assert classify_low_degree(near_complete_regular(6), 4, 1) == UNIQUE_REGULAR_SURVIVOR
-
-    def test_wrong_parity_is_unstable(self):
-        assert classify_low_degree(near_complete_regular(6), 3, 2) == UNSTABLE
-
-    def test_total_vertex_not_applicable(self):
-        assert classify_low_degree(star_stable(4, 1), 4, 1) == NOT_APPLICABLE
-
-    def test_order_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            classify_low_degree(complete(5), 4, 1)
-
-    def test_never_contradicts_exhaustive_check(self):
-        rng = random.Random(73)
-        for _ in range(60):
-            r = rng.randrange(3, 5)
-            k = rng.randrange(0, 3)
-            g = random_graph(rng, r + k + 1, rng.random())
-            verdict = is_star_stable(g, r, k)
-            label = classify_low_degree(g, r, k)
-            if label == UNIQUE_REGULAR_SURVIVOR:
-                assert verdict.stable
-            elif label == UNSTABLE:
-                assert not verdict.stable
-
-    def test_exhaustive_order_six_agreement(self):
-        from starstab import graphs_of_order_and_size
-
+class TestRegularSurvivor:
+    def test_only_stable_class_without_total_vertex_at_order_six(self):
+        # without a total vertex, only the complement of a perfect matching
+        # can be stable, and only for even r with odd k
+        regular = canonical_form(near_complete_regular(6))
         for r, k in [(4, 1), (3, 2)]:
-            for m in range(16):
-                for g in graphs_of_order_and_size(6, m):
-                    label = classify_low_degree(g, r, k)
-                    stable = is_star_stable(g, r, k).stable
-                    if label == UNIQUE_REGULAR_SURVIVOR:
-                        assert stable
-                    elif label == UNSTABLE:
-                        assert not stable
+            survivors = [
+                canonical_form(g)
+                for m in range(16)
+                for g in graphs_of_order_and_size(6, m)
+                if g.max_degree() < 5 and is_star_stable(g, r, k).stable
+            ]
+            assert survivors == ([regular] if r % 2 == 0 and k % 2 else [])
 
 
 class TestIsolatedVertexReading:
