@@ -237,10 +237,41 @@ class TestEdgeMonotonicity:
                 assert is_star_stable(with_edge(g, u, v), r, k).stable
 
 
-class TestRegularSurvivor:
-    def test_only_stable_class_without_total_vertex_at_order_six(self):
-        # without a total vertex, only the complement of a perfect matching
-        # can be stable, and only for even r with odd k
+class TestClassifyLowDegree:
+    # at order r+k+1, a graph without a total vertex can be stable only if it
+    # is the complement of a perfect matching, and only for even r with odd k
+    @staticmethod
+    def is_regular_survivor(g):
+        return canonical_form(g) == canonical_form(near_complete_regular(g.n))
+
+    def test_survivor(self):
+        g = near_complete_regular(6)
+        assert g.max_degree() < 5
+        assert is_star_stable(g, 4, 1).stable
+
+    def test_wrong_parity_is_unstable(self):
+        assert not is_star_stable(near_complete_regular(6), 3, 2).stable
+
+    def test_total_vertex_not_applicable(self):
+        # the rule says nothing about graphs with a total vertex: this one is
+        # stable without being the regular survivor
+        g = star_stable(4, 1)
+        assert g.max_degree() == 5
+        assert is_star_stable(g, 4, 1).stable
+        assert not self.is_regular_survivor(g)
+
+    def test_never_contradicts_exhaustive_check(self):
+        rng = random.Random(73)
+        for _ in range(60):
+            r = rng.randrange(3, 5)
+            k = rng.randrange(0, 3)
+            g = random_graph(rng, r + k + 1, rng.random())
+            if g.max_degree() == r + k:
+                continue
+            expected = r % 2 == 0 and k % 2 == 1 and self.is_regular_survivor(g)
+            assert is_star_stable(g, r, k).stable == expected
+
+    def test_exhaustive_order_six_agreement(self):
         regular = canonical_form(near_complete_regular(6))
         for r, k in [(4, 1), (3, 2)]:
             survivors = [
