@@ -1,24 +1,25 @@
 """Canonical forms and isomorphism tests for desk-scale graphs.
 
-The canonical labelling of a graph minimizes its packed upper-triangle
-adjacency bitstring over all vertex orderings. The search refines an ordered
-partition by iterated neighbour counts, then backtracks over the first
-non-singleton cell, individualizing one vertex per automorphic-twin class
-(skipping a twin only drops an ordering that provably yields the same
-bitstring, so canonicity is exact, never heuristic).
+The search refines an ordered partition by iterated neighbour counts, then
+backtracks over the first non-singleton cell, individualizing one vertex per
+automorphic-twin class (skipping a twin only drops an ordering that provably
+yields the same key, so canonicity is exact, never heuristic). Each leaf is a
+vertex ordering, keyed by its upper-triangle adjacency bits in graph6 column
+order. The canonical code is the least key over the orderings the search
+reaches, packed directly as graph6 text, which makes codes directly
+comparable and storable.
 
-Dense graphs are canonicalized through their complement: complementation
-commutes with relabelling, so a canonical labelling for the sparser side is
-canonical for the graph itself. The emitted code is the graph6 text of the
-canonically relabelled graph, which makes codes directly comparable and
-storable.
+Dense graphs are searched through their complement rows: complementation
+commutes with relabelling, and under any ordering the complement's key is the
+bitwise negation of the graph's, so the code is the negated least key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, complement, encode_graph6, permute
+from .errors import CapacityExceededError
+from .graph import GRAPH6_MAX_ORDER, Graph, _graph6_text, _pair_bits
 
 
 @dataclass(frozen=True, order=True)
@@ -30,10 +31,15 @@ class CanonicalCode:
 
 def canonical_form(g: Graph) -> CanonicalCode:
     """Relabelling-invariant code; equal codes iff isomorphic graphs."""
-    comp = complement(g)
-    work = comp if comp.size < g.size else g
-    order = _min_order(work)
-    return CanonicalCode(encode_graph6(permute(g, order)))
+    n = g.n
+    if n > GRAPH6_MAX_ORDER:
+        raise CapacityExceededError(f"canonical codes support order <= {GRAPH6_MAX_ORDER}, got {n}")
+    npairs = n * (n - 1) // 2
+    if 2 * g.size > npairs:
+        full = (1 << n) - 1
+        comp_rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows))
+        return CanonicalCode(_graph6_text(n, _min_key(comp_rows) ^ ((1 << npairs) - 1)))
+    return CanonicalCode(_graph6_text(n, _min_key(g.rows)))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -90,30 +96,19 @@ def _twin_representatives(rows: tuple[int, ...], cell: list[int]) -> list[int]:
     return reps
 
 
-def _min_order(g: Graph) -> tuple[int, ...]:
-    """Vertex ordering minimizing the upper-triangle adjacency bitstring."""
-    n = g.n
-    if n <= 1:
-        return tuple(range(n))
-    rows = g.rows
-    best: list[tuple[int, tuple[int, ...]] | None] = [None]
-
-    def leaf(cells: list[list[int]]) -> None:
-        order = tuple(cell[0] for cell in cells)
-        key = 0
-        for j in range(1, n):
-            oj = 1 << order[j]
-            for i in range(j):
-                key = key << 1 | (1 if rows[order[i]] & oj else 0)
-        if best[0] is None or key < best[0][0]:
-            best[0] = (key, order)
+def _min_key(rows: tuple[int, ...]) -> int:
+    """Least upper-triangle adjacency key over the orderings the search reaches."""
+    best: int | None = None
 
     def search(cells: list[list[int]]) -> None:
+        nonlocal best
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            leaf(cells)
+            key = _pair_bits(rows, [cell[0] for cell in cells])
+            if best is None or key < best:
+                best = key
             return
         target = cells[idx]
         for v in _twin_representatives(rows, target):
@@ -122,7 +117,7 @@ def _min_order(g: Graph) -> tuple[int, ...]:
             search(_refine(rows, child))
 
     initial: dict[int, list[int]] = {}
-    for v in range(n):
+    for v in range(len(rows)):
         initial.setdefault(rows[v].bit_count(), []).append(v)
     search(_refine(rows, [initial[d] for d in sorted(initial)]))
-    return best[0][1]
+    return best

@@ -108,13 +108,18 @@ def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
 
 
 def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
-    """One representative per iso class with order n and size m."""
+    """One representative per iso class with order n and size m.
+
+    Classes come in census order: by the canonical code of each class's
+    sparse complement without its isolated vertices.
+    """
     if not 0 <= n <= MAX_CENSUS_ORDER:
         raise InvalidParameterError(f"order must be in 0..{MAX_CENSUS_ORDER}, got {n}")
     if not 0 <= m <= comb(n, 2):
         raise InvalidParameterError(f"size {m} impossible at order {n}")
-    for rep in enumerate_graphs_by_edges(comb(n, 2) - m, n):
-        yield complement(rep)
+    e = comb(n, 2) - m
+    for rep in _edge_class_reps(e, min(n, 2 * e)):
+        yield complement(pad(rep, n))
 
 
 def certify(r: int, k: int) -> Certificate:

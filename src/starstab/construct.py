@@ -60,10 +60,6 @@ class Labelling:
     def identity(cls, n: int) -> "Labelling":
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def of(cls, labels: Iterable[int]) -> "Labelling":
-        return cls(tuple(labels))
-
     def label_of(self, vertex: int) -> int:
         return self.labels[vertex]
 

@@ -65,12 +65,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.rows), default=0)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        w = self.rows[v]
-        while w:
-            yield (w & -w).bit_length() - 1
-            w &= w - 1
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, in lexicographic order."""
         for u in range(self.n):
@@ -213,24 +207,31 @@ def permute(g: Graph, order: Sequence[int]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def _pair_bits(rows: Sequence[int], order: Sequence[int]) -> int:
+    """Upper-triangle adjacency bits of ``rows`` under the vertex order
+    ``order``, in graph6 column order with pair (0,1) as the highest bit."""
+    bits = 0
+    for j in range(1, len(order)):
+        vj = order[j]
+        for i in range(j):
+            bits = bits << 1 | (rows[order[i]] >> vj & 1)
+    return bits
+
+
+def _graph6_text(n: int, bits: int) -> str:
+    """graph6 text of order n from its pair bits as :func:`_pair_bits` lays them out."""
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    bits <<= 6 * nbytes - npairs
+    return chr(n + 63) + "".join(
+        chr((bits >> shift & 63) + 63) for shift in range(6 * nbytes - 6, -1, -6))
+
+
 def encode_graph6(g: Graph) -> str:
     """Standard graph6 text for graphs of order <= 62 (single-byte header)."""
     if g.n > GRAPH6_MAX_ORDER:
         raise CapacityExceededError(f"graph6 output supports order <= {GRAPH6_MAX_ORDER}, got {g.n}")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (g.rows[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    return _graph6_text(g.n, _pair_bits(g.rows, range(g.n)))
 
 
 def decode_graph6(text: str | bytes) -> Graph:
@@ -266,17 +267,13 @@ def decode_graph6(text: str | bytes) -> Graph:
         raise Graph6ParseError("nonzero padding bits in graph6 body")
     bits >>= padding
     rows = [0] * n
-    for pos in range(npairs - 1, -1, -1):
-        if bits >> pos & 1:
-            # pos counts pairs from the start: (0,1), (0,2), (1,2), (0,3), ...
-            idx = npairs - 1 - pos
-            j = 1
-            while idx >= j:
-                idx -= j
-                j += 1
-            i = idx
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    pos = npairs
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if bits >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return Graph(n, tuple(rows))
 
 

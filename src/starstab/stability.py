@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidParameterError
-from .graph import Graph, complement, induced_delete
+from .graph import Graph, induced_delete
 
 __all__ = [
     "StabilityVerdict",
@@ -141,4 +141,4 @@ def sparse_complement_guarantees_stable(g: Graph, r: int) -> bool:
     Only meaningful when g has at least r+1+k vertices; callers must ensure
     the order precondition separately.
     """
-    return complement(g).size < (r + 2) // 2
+    return g.n * (g.n - 1) // 2 - g.size < (r + 2) // 2

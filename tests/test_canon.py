@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -8,6 +9,7 @@ from starstab import (
     complete,
     conjunction,
     empty,
+    extremal_family,
     from_edges,
     is_isomorphic,
     near_complete_regular,
@@ -93,6 +95,21 @@ class TestCanonicalForm:
     def test_five_vertex_class_count(self):
         codes = {canonical_form(g).code for g in all_labeled_graphs(5)}
         assert len(codes) == 34
+
+    def test_codes_of_all_five_vertex_graphs_are_pinned(self):
+        codes = "\n".join(canonical_form(g).code for g in all_labeled_graphs(5))
+        assert hashlib.sha256(codes.encode()).hexdigest() == (
+            "d5d8c78981906467fd9c082f3a5d7779d56af4581083fa2cb1f7fb20908219ab")
+
+    def test_extremal_codes_are_pinned(self):
+        pinned = {
+            (4, 9): ["M~~~~zz|~^z~n~^~_"],
+            (4, 10): ["N~~~~~}~^v}~z~v~v~w"],
+            (5, 1): ["F}rE?"],
+            (5, 2): ["G~zfF?"],
+        }
+        for (r, k), codes in pinned.items():
+            assert [canonical_form(h).code for h in extremal_family(r, k)] == codes
 
     def test_highly_symmetric_graphs(self):
         for g in [complete(14), empty(14), near_complete_regular(14),

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starstab
 from starstab import decode_graph6, encode_graph6, is_isomorphic, star, star_stable
 from starstab.cli import main
 
@@ -111,6 +117,14 @@ class TestStab:
         assert code == 2
         assert out == ""
 
+    def test_order_above_graph6_cap_refused_before_search(self):
+        # order 64: within the graph cap, beyond what a graph6 code can hold
+        env = {**os.environ, "PYTHONPATH": str(Path(starstab.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-m", "starstab.cli", "stab", "--r", "4", "--k", "59"],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+
 
 class TestExtremal:
     def test_writes_one_file_per_class(self, capsys, tmp_path):
@@ -184,6 +198,12 @@ class TestEnumerate:
         lines = out.split()
         assert len(lines) == 3
         assert all(decode_graph6(line).size == 3 for line in lines)
+
+    def test_six_edge_census_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--edges", "6", "--max-vertices", "12")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0eb0309d56dd3917dd746c6652015ef794ce5acfe9f02972439ae718caad3333")
 
 
 def test_unknown_subcommand_exits_2():
