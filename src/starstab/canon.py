@@ -9,6 +9,16 @@ order. The canonical code is the least key over the orderings the search
 reaches, packed directly as graph6 text, which makes codes directly
 comparable and storable.
 
+Leaves with equal keys prune the search by the automorphism between them
+(McKay 1981; McKay & Piperno 2014). If a leaf repeats the key of an earlier
+leaf, the two orderings differ by an automorphism that fixes the vertices
+individualized at their deepest shared node and maps the earlier child of
+that node onto the current one. Refinement is isomorphism-invariant, so the
+current child's subtree reaches exactly the keys of the earlier, finished
+one; the search returns to the shared node and goes on with its next child.
+This never drops a key the search would otherwise reach, so the least key,
+and with it every code, is the same as without the pruning.
+
 Dense graphs are searched through their complement rows: complementation
 commutes with relabelling, and under any ordering the complement's key is the
 bitwise negation of the graph's, so the code is the negated least key.
@@ -98,26 +108,38 @@ def _twin_representatives(rows: tuple[int, ...], cell: list[int]) -> list[int]:
 
 def _min_key(rows: tuple[int, ...]) -> int:
     """Least upper-triangle adjacency key over the orderings the search reaches."""
-    best: int | None = None
+    seen: dict[int, tuple[int, ...]] = {}  # leaf key -> its individualization path
+    path: list[int] = []
 
-    def search(cells: list[list[int]]) -> None:
-        nonlocal best
+    def search(cells: list[list[int]]) -> int | None:
+        # Returns the depth to resume at after an automorphism prune, else None.
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
             key = _pair_bits(rows, [cell[0] for cell in cells])
-            if best is None or key < best:
-                best = key
-            return
+            earlier = seen.get(key)
+            if earlier is None:
+                seen[key] = tuple(path)
+                return None
+            shared = 0
+            while earlier[shared] == path[shared]:
+                shared += 1
+            return shared
+        depth = len(path)
         target = cells[idx]
         for v in _twin_representatives(rows, target):
             rest = [u for u in target if u != v]
             child = cells[:idx] + [[v], rest] + cells[idx + 1:]
-            search(_refine(rows, child))
+            path.append(v)
+            resume = search(_refine(rows, child))
+            path.pop()
+            if resume is not None and resume < depth:
+                return resume
+        return None
 
     initial: dict[int, list[int]] = {}
     for v in range(len(rows)):
         initial.setdefault(rows[v].bit_count(), []).append(v)
     search(_refine(rows, [initial[d] for d in sorted(initial)]))
-    return best
+    return min(seen)

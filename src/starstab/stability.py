@@ -5,15 +5,17 @@ A graph is k-fault stable for a pattern H when every deletion of k vertices
 the check reduces to a surviving degree bound; for general patterns it runs a
 backtracking subgraph-isomorphism search per fault set. Fault sets are
 enumerated in lexicographic order with early exit, so the reported witness is
-always the lexicographically smallest failing one.
+always the lexicographically smallest failing one. A walk longer than
+``MAX_FAULT_SETS`` is refused before it starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .errors import InvalidParameterError
+from .errors import CapacityExceededError, InvalidParameterError
 from .graph import Graph, induced_delete
 
 __all__ = [
@@ -23,6 +25,11 @@ __all__ = [
     "is_star_stable",
     "sparse_complement_guarantees_stable",
 ]
+
+
+# About 14x the largest walk the tests and benchmark make (C(22, 11)); the
+# star decider takes roughly a microsecond per fault set.
+MAX_FAULT_SETS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,12 @@ def _trivial_unstable(g: Graph, k: int) -> StabilityVerdict:
     return StabilityVerdict(False, tuple(range(min(k, g.n))), 0)
 
 
+def _check_walk_budget(n: int, k: int) -> None:
+    if comb(n, k) > MAX_FAULT_SETS:
+        raise CapacityExceededError(
+            f"C({n}, {k}) fault sets exceed the walk budget of {MAX_FAULT_SETS}")
+
+
 def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
     """Decide whether g survives any k deletions with a degree-r vertex left.
 
@@ -97,6 +110,7 @@ def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
         raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
     if g.n < r + 1 + k:
         return _trivial_unstable(g, k)
+    _check_walk_budget(g.n, k)
     full = (1 << g.n) - 1
     rows = g.rows
     checked = 0
@@ -126,6 +140,7 @@ def is_stable_general(g: Graph, pattern: Graph, k: int) -> StabilityVerdict:
         return StabilityVerdict(True, None, 0)
     if g.n - k < pattern.n:
         return _trivial_unstable(g, k)
+    _check_walk_budget(g.n, k)
     checked = 0
     for fault in combinations(range(g.n), k):
         checked += 1

@@ -11,12 +11,16 @@ from starstab import (
     empty,
     extremal_family,
     from_edges,
+    graphs_of_order_and_size,
     is_isomorphic,
     near_complete_regular,
     permute,
+    stab_value,
     star,
     star_stable,
 )
+from starstab.canon import _refine, _twin_representatives
+from starstab.graph import _graph6_text, _pair_bits
 
 
 def random_graph(rng, n, p=0.5):
@@ -35,6 +39,44 @@ def brute_isomorphic(g1, g2):
     if g1.n != g2.n or g1.size != g2.size:
         return False
     return any(permute(g1, p) == g2 for p in permutations(range(g1.n)))
+
+
+def reference_min_key(rows):
+    """Oracle: the canonical search before automorphism pruning. It skips
+    twin swaps only and searches every other child to its leaves."""
+    best = None
+
+    def search(cells):
+        nonlocal best
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            key = _pair_bits(rows, [cell[0] for cell in cells])
+            if best is None or key < best:
+                best = key
+            return
+        target = cells[idx]
+        for v in _twin_representatives(rows, target):
+            rest = [u for u in target if u != v]
+            search(_refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1:]))
+
+    initial = {}
+    for v in range(len(rows)):
+        initial.setdefault(rows[v].bit_count(), []).append(v)
+    search(_refine(rows, [initial[d] for d in sorted(initial)]))
+    return best
+
+
+def reference_code(g):
+    """canonical_form's code, searched by the oracle."""
+    n = g.n
+    npairs = n * (n - 1) // 2
+    if 2 * g.size > npairs:
+        full = (1 << n) - 1
+        comp_rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows))
+        return _graph6_text(n, reference_min_key(comp_rows) ^ ((1 << npairs) - 1))
+    return _graph6_text(n, reference_min_key(g.rows))
 
 
 def path(n):
@@ -105,6 +147,8 @@ class TestCanonicalForm:
         pinned = {
             (4, 9): ["M~~~~zz|~^z~n~^~_"],
             (4, 10): ["N~~~~~}~^v}~z~v~v~w"],
+            (4, 11): ["O~~~~~}~^v}~z~v~v~z~~"],
+            (4, 12): ["P~~~~~~~v|~n}~|~|~}~~n~{"],
             (5, 1): ["F}rE?"],
             (5, 2): ["G~zfF?"],
         }
@@ -119,6 +163,44 @@ class TestCanonicalForm:
             order = list(range(g.n))
             rng.shuffle(order)
             assert canonical_form(g) == canonical_form(permute(g, order))
+
+
+class TestAgainstUnprunedSearch:
+    """Automorphism pruning must leave every code byte-identical."""
+
+    def assert_codes_agree(self, graphs):
+        rng = random.Random(37)
+        for g in graphs:
+            order = list(range(g.n))
+            rng.shuffle(order)
+            expected = reference_code(g)
+            assert canonical_form(g).code == expected
+            assert canonical_form(permute(g, order)).code == expected
+
+    def test_certify_census_classes(self):
+        for r, k in [(5, 1), (5, 2)]:
+            n, value = r + k + 1, stab_value(r, k)
+            for size in (value - 1, value):
+                self.assert_codes_agree(graphs_of_order_and_size(n, size))
+
+    def test_perfect_matching_complements(self):
+        graphs = []
+        for n in range(4, 13, 2):
+            graphs += [near_complete_regular(n),
+                       conjunction(near_complete_regular(n), complete(1))]
+        self.assert_codes_agree(graphs)
+
+    def test_symmetric_graphs(self):
+        k33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        cube = from_edges(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4)
+                              if u < u ^ bit])
+        petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                              + [(i, i + 5) for i in range(5)]
+                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        # in the join of C_5 and K_{3,3} the first cell holds both orbits, so a
+        # prune that skips past the deepest shared node loses the least key
+        self.assert_codes_agree([cycle(n) for n in range(4, 11)]
+                                + [k33, cube, petersen, conjunction(cycle(5), k33)])
 
 
 class TestIsIsomorphic:

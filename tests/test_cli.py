@@ -3,12 +3,21 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import starstab
-from starstab import decode_graph6, encode_graph6, is_isomorphic, star, star_stable
+from starstab import (
+    complete,
+    decode_graph6,
+    encode_graph6,
+    is_isomorphic,
+    stab_value,
+    star,
+    star_stable,
+)
 from starstab.cli import main
 
 
@@ -94,6 +103,22 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["stable"] is True
 
+    def test_oversized_fault_set_walk_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text(encode_graph6(complete(40)) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--graph", str(path), "--r", "3", "--k", "20")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "fault sets" in err
+
+
+def run_cli_subprocess(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(starstab.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-m", "starstab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+
 
 class TestStab:
     def test_large_instance_value(self, capsys):
@@ -119,11 +144,21 @@ class TestStab:
 
     def test_order_above_graph6_cap_refused_before_search(self):
         # order 64: within the graph cap, beyond what a graph6 code can hold
-        env = {**os.environ, "PYTHONPATH": str(Path(starstab.__file__).parent.parent)}
-        proc = subprocess.run([sys.executable, "-m", "starstab.cli", "stab", "--r", "4", "--k", "59"],
-                              env=env, capture_output=True, text=True, timeout=30)
+        proc = run_cli_subprocess("stab", "--r", "4", "--k", "59")
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert proc.stdout == ""
+
+    def test_perfect_matching_complement_of_order_30_finishes(self):
+        # the complement of a 15-pair matching has 2^15 * 15! automorphisms;
+        # twin swaps alone leave about 15! leaves to search
+        proc = run_cli_subprocess("stab", "--r", "6", "--k", "23")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["value"] == stab_value(6, 23)
+        assert payload["extremal"]
+        for code in payload["extremal"]:
+            g = decode_graph6(code)
+            assert (g.n, g.size) == (30, stab_value(6, 23))
 
 
 class TestExtremal:

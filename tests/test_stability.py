@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from starstab import (
+    CapacityExceededError,
     InvalidParameterError,
     canonical_form,
     complement,
@@ -173,6 +174,31 @@ class TestIsStableGeneral:
         verdict = is_stable_general(star_stable(3, 1), star(3), 1)
         assert verdict.stable
         assert verdict.checked_fault_sets == 5
+
+
+class TestFaultSetBudget:
+    def test_walk_of_exactly_the_budget_runs(self, monkeypatch):
+        g = star_stable(4, 3)  # order 8: C(8, 3) = 56 fault sets
+        monkeypatch.setattr("starstab.stability.MAX_FAULT_SETS", 56)
+        assert is_star_stable(g, 4, 3).checked_fault_sets == 56
+        assert is_stable_general(g, star(4), 3).checked_fault_sets == 56
+        monkeypatch.setattr("starstab.stability.MAX_FAULT_SETS", 55)
+        with pytest.raises(CapacityExceededError):
+            is_star_stable(g, 4, 3)
+        with pytest.raises(CapacityExceededError):
+            is_stable_general(g, star(4), 3)
+
+    def test_both_deciders_refuse_an_oversized_walk(self):
+        g = complete(40)  # C(40, 20) is about 1.4e11 fault sets
+        with pytest.raises(CapacityExceededError):
+            is_star_stable(g, 3, 20)
+        with pytest.raises(CapacityExceededError):
+            is_stable_general(g, star(3), 20)
+
+    def test_trivially_unstable_input_is_answered_not_refused(self):
+        verdict = is_star_stable(complete(40), 30, 20)
+        assert not verdict.stable
+        assert verdict.checked_fault_sets == 0
 
 
 class TestSubsetCriterion:
