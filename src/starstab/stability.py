@@ -7,6 +7,14 @@ backtracking subgraph-isomorphism search per fault set. Fault sets are
 enumerated in lexicographic order with early exit, so the reported witness is
 always the lexicographically smallest failing one. A walk longer than
 ``MAX_FAULT_SETS`` is refused before it starts.
+
+The star decider walks the include/exclude tree of vertices 0..n-1, include
+first, which visits fault sets in the same lexicographic order. It skips a
+subtree when a lower bound on surviving degrees shows that every fault set in
+it leaves a star center, and counts the skipped sets as checked. So
+``checked_fault_sets`` means the same for both deciders: C(n, k) when stable,
+the witness's lexicographic rank plus one when not, and 0 when the graph is too
+small for any pattern copy to survive.
 """
 
 from __future__ import annotations
@@ -27,8 +35,10 @@ __all__ = [
 ]
 
 
-# About 14x the largest walk the tests and benchmark make (C(22, 11)); the
-# star decider takes roughly a microsecond per fault set.
+# About 14x the largest walk the benchmark makes (C(22, 11)). The general
+# decider runs a subgraph search per fault set. The star decider skips most
+# sets of the paper's hosts, but where its bound never fires it spends about
+# 2 us per set (a random 4-regular graph of order 24 at k = 5).
 MAX_FAULT_SETS = 10_000_000
 
 
@@ -36,9 +46,11 @@ MAX_FAULT_SETS = 10_000_000
 class StabilityVerdict:
     """Outcome of a stability check.
 
-    ``witness`` is present iff unstable: a fault set whose removal leaves no
-    pattern copy. ``checked_fault_sets`` counts the fault sets examined before
-    deciding.
+    ``witness`` is present iff unstable: the lexicographically smallest fault
+    set whose removal leaves no pattern copy. ``checked_fault_sets`` is the
+    number of fault sets up to and including the witness in lexicographic
+    order, or C(n, k) when stable, whether each was examined or skipped by a
+    proof; it is 0 when the graph is too small for any copy to survive.
     """
 
     stable: bool
@@ -98,11 +110,36 @@ def _check_walk_budget(n: int, k: int) -> None:
             f"C({n}, {k}) fault sets exceed the walk budget of {MAX_FAULT_SETS}")
 
 
+def _covered(rows: tuple[int, ...], r: int, alive: int, undecided: int, m: int) -> bool:
+    """True when every choice of m more faults among ``undecided`` leaves a
+    vertex of degree >= r.
+
+    A survivor v keeps at least |N(v) & alive| - min(m, |N(v) & undecided|)
+    neighbours. One such bound >= r settles it for a vertex sure to survive;
+    for undecided vertices it takes m + 1, as m faults cannot remove them all.
+    """
+    sure = 0
+    w = alive
+    while w:
+        bit = w & -w
+        w ^= bit
+        row = rows[bit.bit_length() - 1] & alive
+        lost = (row & undecided).bit_count()
+        if row.bit_count() - (lost if lost < m else m) >= r:
+            if not bit & undecided:
+                return True
+            sure += 1
+            if sure > m:
+                return True
+    return False
+
+
 def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
     """Decide whether g survives any k deletions with a degree-r vertex left.
 
     Equivalent to k-fault stability for the r-leaf star pattern: a surviving
-    vertex of degree >= r is exactly a star center.
+    vertex of degree >= r is exactly a star center. The verdict, witness and
+    count are those of a flat walk over ``combinations(range(n), k)``.
     """
     if r < 3:
         raise InvalidParameterError(f"star patterns require r >= 3, got {r}")
@@ -111,24 +148,25 @@ def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
     if g.n < r + 1 + k:
         return _trivial_unstable(g, k)
     _check_walk_budget(g.n, k)
-    full = (1 << g.n) - 1
-    rows = g.rows
+    # Depth-first over the include/exclude tree of vertices 0..n-1, include
+    # first, so fault sets come in lexicographic order. A node is (i, faults,
+    # m): vertices below i are decided, m faults remain to place among the
+    # rest, and a covered node's comb(n - i, m) fault sets all count.
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
     checked = 0
-    for fault in combinations(range(g.n), k):
-        checked += 1
-        alive = full
-        for v in fault:
-            alive ^= 1 << v
-        m = alive
-        found = False
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if (rows[v] & alive).bit_count() >= r:
-                found = True
-                break
-        if not found:
-            return StabilityVerdict(False, fault, checked)
+    stack = [(0, 0, k)]
+    while stack:
+        i, faults, m = stack.pop()
+        if _covered(rows, r, full ^ faults, full >> i << i, m):
+            checked += comb(n - i, m)
+        elif m == 0:
+            witness = tuple(v for v in range(n) if faults >> v & 1)
+            return StabilityVerdict(False, witness, checked + 1)
+        else:
+            if n - i > m:
+                stack.append((i + 1, faults, m))
+            stack.append((i + 1, faults | 1 << i, m - 1))
     return StabilityVerdict(True, None, checked)
 
 

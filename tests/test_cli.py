@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from starstab import (
     complete,
     decode_graph6,
     encode_graph6,
+    from_edges,
     is_isomorphic,
     stab_value,
     star,
@@ -113,11 +115,37 @@ class TestVerify:
         assert out == ""
         assert "fault sets" in err
 
+    # star_stable(16, 10) has order 27 and C(27, 10) = 8,436,285 fault sets;
+    # each of its 11 total vertices keeps degree >= 16 after any 10 deletions
+    def test_redundant_host_of_order_27_is_decided_fast(self, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text(encode_graph6(star_stable(16, 10)) + "\n")
+        proc = run_cli_subprocess("verify", "--graph", str(path), "--r", "16", "--k", "10",
+                                  timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "stable": True, "witness": None, "checked_fault_sets": 8436285}
 
-def run_cli_subprocess(*argv):
+    def test_deleted_leaf_edge_is_witnessed_by_the_other_total_vertices(self, tmp_path):
+        # totals are 0..10 and leaves 11..26: without the edge (0, 11), total 0
+        # keeps only 15 leaves once the other totals fail
+        g = star_stable(16, 10)
+        g = from_edges(g.n, [e for e in g.edges() if e != (0, 11)])
+        path = tmp_path / "g.g6"
+        path.write_text(encode_graph6(g) + "\n")
+        proc = run_cli_subprocess("verify", "--graph", str(path), "--r", "16", "--k", "10",
+                                  timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        # the witness comes right after every fault set containing vertex 0
+        assert json.loads(proc.stdout) == {
+            "stable": False, "witness": list(range(2, 12)),
+            "checked_fault_sets": comb(26, 9) + 1}
+
+
+def run_cli_subprocess(*argv, timeout=30):
     env = {**os.environ, "PYTHONPATH": str(Path(starstab.__file__).parent.parent)}
     return subprocess.run([sys.executable, "-m", "starstab.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestStab:

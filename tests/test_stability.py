@@ -6,6 +6,7 @@ import pytest
 from starstab import (
     CapacityExceededError,
     InvalidParameterError,
+    StabilityVerdict,
     canonical_form,
     complement,
     complete,
@@ -33,6 +34,35 @@ def random_graph(rng, n, p=0.5):
 
 def cycle(n):
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def reference_star_walk(g, r, k):
+    """The flat walk is_star_stable must reproduce: every k-subset in
+    lexicographic order, each checked for a survivor of degree >= r.
+
+    For graphs of order at least r+k+1.
+    """
+    full = (1 << g.n) - 1
+    checked = 0
+    for fault in combinations(range(g.n), k):
+        checked += 1
+        alive = full
+        for v in fault:
+            alive ^= 1 << v
+        if not any((g.rows[v] & alive).bit_count() >= r
+                   for v in range(g.n) if alive >> v & 1):
+            return StabilityVerdict(False, fault, checked)
+    return StabilityVerdict(True, None, checked)
+
+
+def labelled_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield from_edges(n, [p for j, p in enumerate(pairs) if mask >> j & 1])
+
+
+# the (r, k) pairs whose census classes the oracle tests decide
+CENSUS_PAIRS = [(3, 0), (3, 1), (3, 2), (4, 1), (4, 2)]
 
 
 def star_stable_by_subsets(g, r, k):
@@ -121,20 +151,8 @@ class TestIsStarStable:
         for _ in range(15):
             g = random_graph(rng, 6, 0.6)
             verdict = is_star_stable(g, 3, 2)
-            if verdict.stable:
-                continue
-            full = (1 << g.n) - 1
-            for fault in combinations(range(g.n), 2):
-                alive = full
-                for v in fault:
-                    alive ^= 1 << v
-                fails = all(
-                    (g.rows[v] & alive).bit_count() < 3
-                    for v in range(g.n) if alive >> v & 1
-                )
-                if fails:
-                    assert fault == verdict.witness
-                    break
+            if not verdict.stable:
+                assert verdict.witness == reference_star_walk(g, 3, 2).witness
 
     def test_witness_validity_recheck(self):
         rng = random.Random(47)
@@ -144,6 +162,32 @@ class TestIsStarStable:
             if not verdict.stable:
                 survivor = induced_delete(g, verdict.witness)
                 assert survivor.max_degree() < 3
+
+
+class TestAgainstReferenceWalk:
+    # the pruned walk must give the flat walk's verdict, witness and count
+    def test_every_labelled_graph_up_to_order_six(self):
+        for n in range(4, 7):
+            for g in labelled_graphs(n):
+                for r in range(3, n):
+                    for k in range(n - r):
+                        assert is_star_stable(g, r, k) == reference_star_walk(g, r, k)
+
+    def test_random_labelled_graphs_of_orders_seven_to_twelve(self):
+        rng = random.Random(79)
+        for _ in range(2000):
+            n = rng.randrange(7, 13)
+            g = random_graph(rng, n, rng.random())
+            r = rng.randrange(3, n)
+            k = rng.randrange(n - r)
+            assert is_star_stable(g, r, k) == reference_star_walk(g, r, k)
+
+    def test_census_classes(self):
+        for r, k in CENSUS_PAIRS:
+            value = stab_value(r, k)
+            for m in (value - 1, value):
+                for g in graphs_of_order_and_size(r + k + 1, m):
+                    assert is_star_stable(g, r, k) == reference_star_walk(g, r, k)
 
 
 class TestIsStableGeneral:
@@ -168,7 +212,8 @@ class TestIsStableGeneral:
             g = random_graph(rng, n, rng.random())
             r = rng.randrange(3, 5)
             k = rng.randrange(0, 3)
-            assert is_stable_general(g, star(r), k).stable == is_star_stable(g, r, k).stable
+            # both walk in lexicographic order: same witness and count too
+            assert is_stable_general(g, star(r), k) == is_star_stable(g, r, k)
 
     def test_checked_fault_set_count(self):
         verdict = is_stable_general(star_stable(3, 1), star(3), 1)
@@ -217,7 +262,7 @@ class TestSubsetCriterion:
     def test_agrees_on_every_certify_census_class(self):
         # the classes certify decides: order r+k+1, one edge below the claimed
         # minimum and at it
-        for r, k in [(3, 0), (3, 1), (3, 2), (4, 1), (4, 2)]:
+        for r, k in CENSUS_PAIRS:
             value = stab_value(r, k)
             for m in (value - 1, value):
                 for g in graphs_of_order_and_size(r + k + 1, m):
