@@ -6,13 +6,27 @@ through their sparse complements: each desk instance leaves at most a handful
 of complement edges, so the census stays in the hundreds of classes where a
 direct edge-count census would be astronomically large.
 
-Isomorph-free generation is incremental: classes with e edges and no isolated
-vertices are produced by adding one edge (between existing vertices, one new
-endpoint, or two new endpoints) to every class with e-1 edges, deduplicating
-by canonical code at each level. Removing an edge and dropping the at most two
-vertices it isolates maps any class back to a smaller one, so every class is
-reached. Support only ever grows along that path, which makes pruning by a
-vertex budget safe.
+Isomorph-free generation has two levels. Connected classes with e edges grow
+from those with e-1 edges by one new edge: between two non-adjacent vertices,
+or pendant to a new vertex. An edge is removable if it is pendant or lies on a
+cycle, so deleting it (and the vertex it leaves isolated) keeps the graph
+connected. Each edge has the key (larger endpoint degree, smaller endpoint
+degree, common neighbours), and a candidate is canonicalized only if no
+removable edge has a larger key than its new edge (canonical augmentation,
+McKay 1998). No class is lost: every connected class with at least two edges
+has a removable edge (a leaf edge if it is a tree, else an edge on a cycle),
+and deleting one of largest key leaves a connected class with one edge
+fewer. Keys and removability are isomorphism-invariant, so extending that
+parent's stored representative by the image of the deleted edge gives a
+candidate the filter accepts. The filter drops only duplicates, and those
+that pass it are still deduplicated by canonical code, so no automorphism
+orbits are needed.
+
+A class without isolated vertices is the disjoint union of a multiset of
+connected classes whose edges sum to e and whose orders fit the vertex
+budget. Two different multisets give non-isomorphic unions, because the
+components of a graph are determined up to isomorphism, so this level makes
+no canonical call and needs no deduplication.
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from typing import Iterator
 
 from .canon import canonical_form
 from .errors import CapacityExceededError, InvalidParameterError, SchemaMismatchError
-from .graph import Graph, complement, decode_graph6, empty, pad, with_edge
+from .graph import Graph, complement, decode_graph6, from_edges, pad
 from .stability import is_star_stable, sparse_complement_guarantees_stable
 from .theorem import extremal_family, stab_value
 
@@ -67,31 +81,87 @@ class Certificate:
     elapsed: float
 
 
-def _extensions(h: Graph, cap: int) -> Iterator[Graph]:
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if not h.adjacent(u, v):
-                yield with_edge(h, u, v)
-    if h.n + 1 <= cap:
-        grown = pad(h, h.n + 1)
-        for u in range(h.n):
-            yield with_edge(grown, u, h.n)
-    if h.n + 2 <= cap:
-        yield with_edge(pad(h, h.n + 2), h.n, h.n + 1)
+def _edge_key(rows: list[int], u: int, v: int) -> tuple[int, int, int]:
+    du, dv = rows[u].bit_count(), rows[v].bit_count()
+    return max(du, dv), min(du, dv), (rows[u] & rows[v]).bit_count()
+
+
+def _removable(rows: list[int], u: int, v: int) -> bool:
+    """Whether deleting edge uv, and an endpoint it leaves isolated, keeps the
+    graph connected: uv is a pendant edge, or v is reachable from u without it."""
+    if rows[u].bit_count() == 1 or rows[v].bit_count() == 1:
+        return True
+    seen = 1 << u
+    frontier = rows[u] ^ (1 << v)
+    while frontier:
+        if frontier >> v & 1:
+            return True
+        seen |= frontier
+        reach = 0
+        while frontier:
+            reach |= rows[(frontier & -frontier).bit_length() - 1]
+            frontier &= frontier - 1
+        frontier = reach & ~seen
+    return False
+
+
+def _new_edge_is_largest(rows: list[int], u: int, v: int) -> bool:
+    """Whether no removable edge has a larger key than the new edge uv, which
+    is removable itself: it closes a cycle or is pendant."""
+    key = _edge_key(rows, u, v)
+    for a in range(len(rows)):
+        w = rows[a] >> (a + 1) << (a + 1)
+        while w:
+            b = (w & -w).bit_length() - 1
+            w &= w - 1
+            if _edge_key(rows, a, b) > key and _removable(rows, a, b):
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _connected_reps(e: int, cap: int) -> tuple[Graph, ...]:
+    """One representative per connected iso class with e >= 1 edges and order
+    <= cap, sorted by canonical code."""
+    if e == 1:
+        return (from_edges(2, [(0, 1)]),) if cap >= 2 else ()
+    seen: dict[str, Graph] = {}
+    for h in _connected_reps(e - 1, min(cap, e)):
+        n = h.n
+        non_edges = [(u, v) for v in range(n) for u in range(v) if not h.rows[u] >> v & 1]
+        pendants = [(u, n) for u in range(n)] if n < cap else []
+        for u, v in non_edges + pendants:
+            rows = list(h.rows) + [0] * (v + 1 - n)  # a pendant edge adds vertex n
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            if _new_edge_is_largest(rows, u, v):
+                g = Graph(len(rows), tuple(rows))
+                seen.setdefault(canonical_form(g).code, g)
+    return tuple(g for _, g in sorted(seen.items()))
 
 
 @lru_cache(maxsize=None)
 def _edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
-    """Canonical representatives of iso classes with e edges, no isolated
-    vertices, and order <= cap, sorted by canonical code."""
-    if e == 0:
-        return (empty(0),)
-    parents = _edge_class_reps(e - 1, min(cap, 2 * (e - 1)))
-    seen: dict[str, None] = {}
-    for h in parents:
-        for candidate in _extensions(h, cap):
-            seen.setdefault(canonical_form(candidate).code, None)
-    return tuple(decode_graph6(code) for code in sorted(seen))
+    """One representative per iso class with e edges, no isolated vertices and
+    order <= cap: the disjoint unions of multisets of connected classes, in
+    multiset order."""
+    parts = [(j, rep) for j in range(1, e + 1) for rep in _connected_reps(j, min(cap, j + 1))]
+    reps: list[Graph] = []
+
+    def unions(start: int, edges_left: int, rows: tuple[int, ...]) -> None:
+        if not edges_left:
+            reps.append(Graph(len(rows), rows))
+            return
+        for i in range(start, len(parts)):
+            j, part = parts[i]
+            if j > edges_left:
+                break
+            if len(rows) + part.n <= cap:
+                shift = len(rows)
+                unions(i, edges_left - j, rows + tuple(row << shift for row in part.rows))
+
+    unions(0, e, ())
+    return tuple(reps)
 
 
 def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
@@ -102,7 +172,8 @@ def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
     if not 0 <= max_vertices <= MAX_CENSUS_ORDER:
         raise InvalidParameterError(
             f"max_vertices must be in 0..{MAX_CENSUS_ORDER}, got {max_vertices}")
-    padded = (pad(rep, max_vertices) for rep in _edge_class_reps(e, min(max_vertices, 2 * e)))
+    padded = (pad(decode_graph6(canonical_form(rep).code), max_vertices)
+              for rep in _edge_class_reps(e, min(max_vertices, 2 * e)))
     for _, g in sorted((canonical_form(g).code, g) for g in padded):
         yield g
 
@@ -110,8 +181,11 @@ def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
 def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     """One representative per iso class with order n and size m.
 
-    Classes come in census order: by the canonical code of each class's
-    sparse complement without its isolated vertices.
+    Classes come in census order, which is deterministic: the complement of
+    each class, without its isolated vertices, is a multiset of connected
+    classes; these are ordered by edge count, then by canonical code, and the
+    multisets come in lexicographic order of their non-decreasing index
+    lists. Representatives are not canonically labelled.
     """
     if not 0 <= n <= MAX_CENSUS_ORDER:
         raise InvalidParameterError(f"order must be in 0..{MAX_CENSUS_ORDER}, got {n}")

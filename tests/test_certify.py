@@ -1,26 +1,34 @@
 import dataclasses
 import json
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 import pytest
 
 from starstab import (
     CapacityExceededError,
     Certificate,
+    Graph,
     InvalidParameterError,
     SchemaMismatchError,
     canonical_form,
     certify,
     complete,
+    decode_graph6,
+    empty,
     enumerate_graphs_by_edges,
     from_edges,
     graphs_of_order_and_size,
     pad,
     read_certificate,
+    stab_value,
     star_stable,
+    with_edge,
     write_certificate,
 )
+from starstab.certify import _connected_reps, _edge_class_reps
 
 
 def is_connected(g):
@@ -96,6 +104,51 @@ def class_count_by_decomposition(e):
     return dp[e]
 
 
+def _extensions(h: Graph, cap: int) -> Iterator[Graph]:
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            if not h.adjacent(u, v):
+                yield with_edge(h, u, v)
+    if h.n + 1 <= cap:
+        grown = pad(h, h.n + 1)
+        for u in range(h.n):
+            yield with_edge(grown, u, h.n)
+    if h.n + 2 <= cap:
+        yield with_edge(pad(h, h.n + 2), h.n, h.n + 1)
+
+
+@lru_cache(maxsize=None)
+def reference_edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
+    """Oracle: canonical representatives of iso classes with e edges, no
+    isolated vertices, and order <= cap, sorted by canonical code. Every
+    class with e-1 edges gets every possible edge, and all candidates are
+    deduplicated by canonical code."""
+    if e == 0:
+        return (empty(0),)
+    parents = reference_edge_class_reps(e - 1, min(cap, 2 * (e - 1)))
+    seen: dict[str, None] = {}
+    for h in parents:
+        for candidate in _extensions(h, cap):
+            seen.setdefault(canonical_form(candidate).code, None)
+    return tuple(decode_graph6(code) for code in sorted(seen))
+
+
+# The (r, k) pairs of the certification grid of acceptance criterion 6.
+CERTIFICATION_GRID = [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2),
+                      (4, 7), (4, 8), (4, 9), (4, 10), (5, 0), (5, 1), (5, 2)]
+
+
+def census_levels(r, k):
+    """The (e, cap) census levels that certify(r, k) asks for."""
+    n = r + k + 1
+    for m in (stab_value(r, k) - 1, stab_value(r, k)):
+        e = comb(n, 2) - m
+        yield e, min(n, 2 * e)
+
+
+GRID_LEVELS = sorted({level for r, k in CERTIFICATION_GRID for level in census_levels(r, k)})
+
+
 def all_labeled_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -169,6 +222,25 @@ class TestEnumerateByEdges:
             list(enumerate_graphs_by_edges(2, 17))
 
 
+class TestCensusLevels:
+    def test_grid_reaches_twenty_five_levels(self):
+        assert len(GRID_LEVELS) == 25
+
+    @pytest.mark.parametrize("e, cap", GRID_LEVELS)
+    def test_same_classes_as_reference(self, e, cap):
+        reps = _edge_class_reps(e, cap)
+        codes = [canonical_form(g).code for g in reps]
+        assert len(set(codes)) == len(codes)
+        assert set(codes) == {canonical_form(g).code for g in reference_edge_class_reps(e, cap)}
+        assert all(g.size == e and g.n <= cap and all(g.rows) for g in reps)
+
+    def test_connected_level_counts_match_oeis_a002905(self):
+        for e, count in enumerate([1, 1, 3, 5, 12, 30, 79, 227], start=1):
+            reps = _connected_reps(e, e + 1)
+            assert len({canonical_form(g).code for g in reps}) == len(reps) == count
+            assert all(g.size == e and is_connected(g) for g in reps)
+
+
 class TestGraphsOfOrderAndSize:
     def test_complete_graph_class(self):
         classes = list(graphs_of_order_and_size(4, 6))
@@ -193,6 +265,12 @@ class TestGraphsOfOrderAndSize:
             assert len(codes) == len(produced)
             assert codes == by_size.get(m, set())
             assert all(g.n == n and g.size == m for g in produced)
+
+    def test_census_order_is_deterministic(self):
+        first = list(graphs_of_order_and_size(8, 17))
+        _connected_reps.cache_clear()
+        _edge_class_reps.cache_clear()
+        assert list(graphs_of_order_and_size(8, 17)) == first
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -268,6 +268,13 @@ class TestEnumerate:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0eb0309d56dd3917dd746c6652015ef794ce5acfe9f02972439ae718caad3333")
 
+    def test_eight_edge_census_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--edges", "8", "--max-vertices", "16")
+        assert code == 0
+        assert len(out.splitlines()) == 497
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6606479a2b783044aa3b0c81d866a2e0ba05c45a613af1d1837728a955d428e5")
+
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
