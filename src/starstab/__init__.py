@@ -8,14 +8,7 @@ isomorph-free enumeration at desk scale.
 """
 
 from .canon import CanonicalCode, canonical_form, is_isomorphic
-from .certify import (
-    Certificate,
-    certify,
-    enumerate_graphs_by_edges,
-    graphs_of_order_and_size,
-    read_certificate,
-    write_certificate,
-)
+from .certify import certify, enumerate_graphs_by_edges, graphs_of_order_and_size
 from .construct import (
     Embedding,
     IsolatedPatternWarning,
@@ -116,3 +109,13 @@ __all__ = [
     "with_edge",
     "write_certificate",
 ]
+
+
+def __getattr__(name: str):
+    # The certificate names load dataclasses, so they are imported on first
+    # use instead of at the start of every CLI call (PEP 562).
+    if name in ("Certificate", "read_certificate", "write_certificate"):
+        from . import certificate
+
+        return getattr(certificate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

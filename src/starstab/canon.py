@@ -26,14 +26,13 @@ bitwise negation of the graph's, so the code is the negated least key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityExceededError
 from .graph import GRAPH6_MAX_ORDER, Graph, _graph6_text, _pair_bits
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
+class CanonicalCode(NamedTuple):
     """Isomorphism-class identifier: canonical graph6 text."""
 
     code: str

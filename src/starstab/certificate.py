@@ -1,0 +1,60 @@
+"""Certificates: the persisted record of one ``certify`` run and its file format.
+
+A certificate file is one JSON object holding every field of
+:class:`Certificate` under its own name, keys sorted, indented by two spaces.
+Reading refuses a schema version other than ``SCHEMA_VERSION`` and a file
+missing any field.
+
+The package imports this module on first use, because ``dataclasses`` would
+otherwise add to the start-up of every CLI call.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+from .errors import SchemaMismatchError
+
+__all__ = ["Certificate", "SCHEMA_VERSION", "read_certificate", "write_certificate"]
+
+SCHEMA_VERSION = "1"
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Persisted record of one exhaustive verification run."""
+
+    schema_version: str
+    r: int
+    k: int
+    claimed_value: int
+    minimality_ok: bool
+    candidates_below: int
+    extremal_found: tuple[str, ...]
+    extremal_expected: tuple[str, ...]
+    match: bool
+    elapsed: float
+
+
+def write_certificate(cert: Certificate, path: str | Path) -> None:
+    payload = dataclasses.asdict(cert)
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def read_certificate(path: str | Path) -> Certificate:
+    payload = json.loads(Path(path).read_text())
+    version = payload.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaMismatchError(
+            f"unsupported certificate schema {version!r}, expected {SCHEMA_VERSION!r}")
+    fields = {f.name for f in dataclasses.fields(Certificate)}
+    missing = fields - payload.keys()
+    if missing:
+        raise SchemaMismatchError(f"certificate missing fields: {sorted(missing)}")
+    values = {name: payload[name] for name in fields}
+    for name in ("extremal_found", "extremal_expected"):
+        values[name] = tuple(values[name])
+    return Certificate(**values)

@@ -31,54 +31,27 @@ no canonical call and needs no deduplication.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .canon import canonical_form
-from .errors import CapacityExceededError, InvalidParameterError, SchemaMismatchError
+from .errors import CapacityExceededError, InvalidParameterError
 from .graph import Graph, complement, decode_graph6, from_edges, pad
 from .stability import is_star_stable, sparse_complement_guarantees_stable
 from .theorem import extremal_family, stab_value
 
-__all__ = [
-    "Certificate",
-    "SCHEMA_VERSION",
-    "certify",
-    "enumerate_graphs_by_edges",
-    "graphs_of_order_and_size",
-    "read_certificate",
-    "write_certificate",
-]
+if TYPE_CHECKING:
+    from .certificate import Certificate
 
-SCHEMA_VERSION = "1"
+__all__ = ["certify", "enumerate_graphs_by_edges", "graphs_of_order_and_size"]
 
 MAX_CENSUS_ORDER = 16
 MAX_COMPLEMENT_BUDGET = 8
 # Below this order the class counts stay tiny for every edge count, so the
 # complement-edge budget is not needed to keep the census bounded.
 SMALL_ORDER_EXEMPTION = 8
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Persisted record of one exhaustive verification run."""
-
-    schema_version: str
-    r: int
-    k: int
-    claimed_value: int
-    minimality_ok: bool
-    candidates_below: int
-    extremal_found: tuple[str, ...]
-    extremal_expected: tuple[str, ...]
-    match: bool
-    elapsed: float
 
 
 def _edge_key(rows: list[int], u: int, v: int) -> tuple[int, int, int]:
@@ -203,6 +176,8 @@ def certify(r: int, k: int) -> Certificate:
     that the stable classes at the claimed size are exactly the expected
     extremal family. A refutation is reported in the certificate, not raised.
     """
+    from .certificate import SCHEMA_VERSION, Certificate
+
     value = stab_value(r, k)
     n = r + k + 1
     if n > MAX_CENSUS_ORDER:
@@ -238,24 +213,3 @@ def certify(r: int, k: int) -> Certificate:
         match=found == expected,
         elapsed=time.perf_counter() - start,
     )
-
-
-def write_certificate(cert: Certificate, path: str | Path) -> None:
-    payload = dataclasses.asdict(cert)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_certificate(path: str | Path) -> Certificate:
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaMismatchError(
-            f"unsupported certificate schema {version!r}, expected {SCHEMA_VERSION!r}")
-    fields = {f.name for f in dataclasses.fields(Certificate)}
-    missing = fields - payload.keys()
-    if missing:
-        raise SchemaMismatchError(f"certificate missing fields: {sorted(missing)}")
-    values = {name: payload[name] for name in fields}
-    for name in ("extremal_found", "extremal_expected"):
-        values[name] = tuple(values[name])
-    return Certificate(**values)

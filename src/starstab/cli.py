@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .canon import canonical_form
-from .certify import certify, enumerate_graphs_by_edges, write_certificate
+from .certify import certify, enumerate_graphs_by_edges
 from .construct import Labelling, bch_construct, recovery_embedding, star_instance
 from .errors import StarstabError
 from .graph import Graph, decode_graph6, encode_graph6, export_dot, star
@@ -106,6 +106,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certificate import write_certificate
+
     cert = certify(args.r, args.k)
     write_certificate(cert, args.out)
     print(Path(args.out).read_text(), end="")

@@ -17,11 +17,10 @@ l sits at internal vertex index l-1 in the result graph.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import MAX_ORDER, Graph, complete, conjunction, empty, from_edges, star
+from .graph import MAX_ORDER, Graph, _Value, complete, conjunction, empty, from_edges, star
 
 __all__ = [
     "Embedding",
@@ -41,20 +40,21 @@ class IsolatedPatternWarning(UserWarning):
     stability-preservation arguments that assume none do not apply."""
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(_Value):
     """Bijection from pattern vertex indices 0..n-1 to labels {1..n}.
 
     ``labels[v]`` is the label of pattern vertex v.
     """
 
+    __slots__ = _fields = ("labels",)
     labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if sorted(self.labels) != list(range(1, n + 1)):
+    def __init__(self, labels: tuple[int, ...]) -> None:
+        n = len(labels)
+        if sorted(labels) != list(range(1, n + 1)):
             raise InvalidParameterError(
-                f"labelling must be a bijection onto 1..{n}, got {self.labels}")
+                f"labelling must be a bijection onto 1..{n}, got {labels}")
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def identity(cls, n: int) -> "Labelling":
@@ -64,8 +64,7 @@ class Labelling:
         return self.labels[vertex]
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
+class LabeledInstance(NamedTuple):
     """A constructed fault-tolerant graph together with its provenance."""
 
     pattern: Graph
@@ -74,20 +73,25 @@ class LabeledInstance:
     result: Graph
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Injective edge-preserving map of pattern labels into surviving labels."""
+class Embedding(_Value):
+    """Injective edge-preserving map of pattern labels into surviving labels.
 
+    ``embedding[label]`` looks the image up in a dict built once.
+    """
+
+    __slots__ = ("pairs", "_images")
+    _fields = ("pairs",)
     pairs: tuple[tuple[int, int], ...]
 
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_images", dict(pairs))
+
     def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
+        return dict(self._images)
 
     def __getitem__(self, label: int) -> int:
-        for src, dst in self.pairs:
-            if src == label:
-                return dst
-        raise KeyError(label)
+        return self._images[label]
 
 
 def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstance:

@@ -14,7 +14,6 @@ offset by 63, zero-padded at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityExceededError, Graph6ParseError, InvalidParameterError
@@ -23,20 +22,54 @@ MAX_ORDER = 64
 GRAPH6_MAX_ORDER = 62
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Value semantics for a ``__slots__`` class whose ``__init__`` validates
+    its ``_fields`` and sets them with ``object.__setattr__``: equality and hash
+    by field values, a constructor-style repr, and no assignment afterwards.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Graph(_Value):
     """Immutable loop-free symmetric adjacency over vertices 0..n-1."""
 
+    __slots__ = _fields = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_ORDER:
-            raise InvalidParameterError(f"order must be in 0..{MAX_ORDER}, got {self.n}")
-        if len(self.rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        if not 0 <= n <= MAX_ORDER:
+            raise InvalidParameterError(f"order must be in 0..{MAX_ORDER}, got {n}")
+        if len(rows) != n:
             raise InvalidParameterError("adjacency row count does not match order")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        full = (1 << n) - 1
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise InvalidParameterError(f"row {v} has bits outside the vertex range")
             if row >> v & 1:
@@ -44,9 +77,11 @@ class Graph:
             w = row
             while w:
                 u = (w & -w).bit_length() - 1
-                if not self.rows[u] >> v & 1:
+                if not rows[u] >> v & 1:
                     raise InvalidParameterError(f"asymmetric adjacency between {u} and {v}")
                 w &= w - 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:

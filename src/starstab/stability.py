@@ -19,9 +19,9 @@ small for any pattern copy to survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import CapacityExceededError, InvalidParameterError
 from .graph import Graph, induced_delete
@@ -42,8 +42,7 @@ __all__ = [
 MAX_FAULT_SETS = 10_000_000
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of a stability check.
 
     ``witness`` is present iff unstable: the lexicographically smallest fault

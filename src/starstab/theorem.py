@@ -15,7 +15,7 @@ at k = k1 and k = k1 + 1 two distinct extremal graphs coexist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import star_stable
 from .errors import CapacityExceededError, InvalidParameterError
@@ -53,8 +53,7 @@ REGULAR_SURVIVOR = "REGULAR_SURVIVOR"
 REGULAR_PLUS_TOTAL = "REGULAR_PLUS_TOTAL"
 
 
-@dataclass(frozen=True)
-class StabCase:
+class StabCase(NamedTuple):
     """Which regime an (r, k) instance falls into; boundary constants are
     carried along for even r and are None for odd r."""
 
@@ -63,8 +62,7 @@ class StabCase:
     k1: int | None
 
 
-@dataclass(frozen=True)
-class StabResult:
+class StabResult(NamedTuple):
     r: int
     k: int
     case: StabCase

@@ -202,15 +202,15 @@ class TestRecoveryEmbedding:
     def test_lost_pattern_edge_refused_under_optimize_flag(self):
         # python -O strips assert statements; the embedding check must still run.
         code = textwrap.dedent("""
-            import dataclasses
             from starstab import InvalidParameterError, from_edges, recovery_embedding
-            from starstab.construct import star_instance
+            from starstab.construct import LabeledInstance, star_instance
 
             instance = star_instance(3, 1)
             g = instance.result
             # labels 2 and 3 carry the center-leaf edge once label 1 has failed
-            broken = dataclasses.replace(
-                instance, result=from_edges(g.n, [e for e in g.edges() if e != (1, 2)]))
+            broken_result = from_edges(g.n, [e for e in g.edges() if e != (1, 2)])
+            broken = LabeledInstance(instance.pattern, instance.k, instance.labelling,
+                                     broken_result)
             try:
                 recovery_embedding(broken, [1])
             except InvalidParameterError as exc:

@@ -1,12 +1,21 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import starstab
 from starstab import (
     CapacityExceededError,
+    Embedding,
     Graph,
     Graph6ParseError,
     InvalidParameterError,
+    Labelling,
     complement,
     complete,
     conjunction,
@@ -61,6 +70,73 @@ class TestGraphType:
     def test_edges_listing(self):
         g = from_edges(4, [(2, 0), (3, 1)])
         assert list(g.edges()) == [(0, 2), (1, 3)]
+
+
+# (type, constructor arguments, repr, a field, arguments of a different value)
+VALUES = [
+    (Graph, (2, (2, 1)), "Graph(n=2, rows=(2, 1))", "rows", (2, (0, 0))),
+    (Labelling, ((2, 1, 3),), "Labelling(labels=(2, 1, 3))", "labels", ((1, 2, 3),)),
+    (Embedding, (((1, 2), (2, 3)),), "Embedding(pairs=((1, 2), (2, 3)))", "pairs",
+     (((1, 2), (2, 4)),)),
+]
+
+
+@pytest.mark.parametrize("cls, args, text, field, other_args", VALUES,
+                         ids=[v[0].__name__ for v in VALUES])
+class TestValueSemantics:
+    def test_equal_values_are_equal_and_hash_equal(self, cls, args, text, field, other_args):
+        a, b = cls(*args), cls(*args)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != cls(*other_args)
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_unequal_to_another_type(self, cls, args, text, field, other_args):
+        value = cls(*args)
+        assert value != args
+        assert value != args[0]
+        assert value != text
+
+    def test_repr(self, cls, args, text, field, other_args):
+        assert repr(cls(*args)) == text
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, args, text, field, other_args):
+        value = cls(*args)
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == cls(*args)
+
+
+def test_invalid_values_refused_under_optimize_flag():
+    # python -O strips assert statements; construction must still validate.
+    code = textwrap.dedent("""
+        from starstab import Graph, InvalidParameterError, Labelling
+
+        for make in (lambda: Graph(2, (1, 2)), lambda: Graph(2, (2, 0)),
+                     lambda: Graph(1, (0, 0)), lambda: Labelling((1, 1, 3))):
+            try:
+                make()
+            except InvalidParameterError as exc:
+                print("refused:", exc)
+            else:
+                raise SystemExit("invalid value accepted")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(starstab.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "refused: loop at vertex 0",
+        "refused: asymmetric adjacency between 1 and 0",
+        "refused: adjacency row count does not match order",
+        "refused: labelling must be a bijection onto 1..3, got (1, 1, 3)",
+    ]
 
 
 class TestStar:
