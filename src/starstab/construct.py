@@ -46,7 +46,7 @@ class Labelling(_Value):
     ``labels[v]`` is the label of pattern vertex v.
     """
 
-    __slots__ = _fields = ("labels",)
+    __slots__ = __match_args__ = ("labels",)
     labels: tuple[int, ...]
 
     def __init__(self, labels: tuple[int, ...]) -> None:
@@ -74,24 +74,22 @@ class LabeledInstance(NamedTuple):
 
 
 class Embedding(_Value):
-    """Injective edge-preserving map of pattern labels into surviving labels.
+    """Injective edge-preserving map of pattern labels into surviving labels."""
 
-    ``embedding[label]`` looks the image up in a dict built once.
-    """
-
-    __slots__ = ("pairs", "_images")
-    _fields = ("pairs",)
+    __slots__ = __match_args__ = ("pairs",)
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_images", dict(pairs))
 
     def as_dict(self) -> dict[int, int]:
-        return dict(self._images)
+        return dict(self.pairs)
 
     def __getitem__(self, label: int) -> int:
-        return self._images[label]
+        for src, dst in self.pairs:
+            if src == label:
+                return dst
+        raise KeyError(label)
 
 
 def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstance:

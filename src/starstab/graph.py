@@ -24,15 +24,17 @@ GRAPH6_MAX_ORDER = 62
 
 class _Value:
     """Value semantics for a ``__slots__`` class whose ``__init__`` validates
-    its ``_fields`` and sets them with ``object.__setattr__``: equality and hash
-    by field values, a constructor-style repr, and no assignment afterwards.
+    its fields, named in ``__match_args__``, and sets them with
+    ``object.__setattr__``: equality and hash by field values, a
+    constructor-style repr, positional ``match`` patterns, and no assignment
+    afterwards.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    __match_args__: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -43,7 +45,7 @@ class _Value:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -59,7 +61,7 @@ class _Value:
 class Graph(_Value):
     """Immutable loop-free symmetric adjacency over vertices 0..n-1."""
 
-    __slots__ = _fields = ("n", "rows")
+    __slots__ = __match_args__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 

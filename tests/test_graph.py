@@ -102,6 +102,16 @@ class TestValueSemantics:
     def test_repr(self, cls, args, text, field, other_args):
         assert repr(cls(*args)) == text
 
+    def test_positional_match_pattern(self, cls, args, text, field, other_args):
+        match cls(*args):
+            case Graph(n, rows):
+                fields = (n, rows)
+            case Labelling(labels) | Embedding(labels):
+                fields = (labels,)
+            case _:
+                fields = None
+        assert fields == args
+
     def test_fields_cannot_be_assigned_or_deleted(self, cls, args, text, field, other_args):
         value = cls(*args)
         with pytest.raises(AttributeError):
