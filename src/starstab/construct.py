@@ -20,7 +20,7 @@ import warnings
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import MAX_ORDER, Graph, _Value, complete, conjunction, empty, from_edges, star
+from .graph import MAX_ORDER, Graph, _check_rk, _Value, complete, conjunction, empty, from_edges, star
 
 __all__ = [
     "Embedding",
@@ -86,10 +86,7 @@ class Embedding(_Value):
         return dict(self.pairs)
 
     def __getitem__(self, label: int) -> int:
-        for src, dst in self.pairs:
-            if src == label:
-                return dst
-        raise KeyError(label)
+        return self.as_dict()[label]
 
 
 def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstance:
@@ -127,10 +124,7 @@ def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstan
 def star_stable(r: int, k: int) -> Graph:
     """The unique spare-vertex expansion of a star: join of K_{k+1} and r
     isolated vertices, on r+k+1 vertices with (k+1)(2r+k)/2 edges."""
-    if r < 3:
-        raise InvalidParameterError(f"star patterns require r >= 3, got {r}")
-    if k < 0:
-        raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
+    _check_rk(r, k)
     if r + k + 1 > MAX_ORDER:
         raise CapacityExceededError(f"order {r + k + 1} exceeds the {MAX_ORDER}-vertex cap")
     return conjunction(complete(k + 1), empty(r))

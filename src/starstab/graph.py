@@ -111,6 +111,14 @@ class Graph(_Value):
                 w &= w - 1
 
 
+def _check_rk(r: int, k: int) -> None:
+    """The parameters of a star question: r >= 3 leaves, fault budget k >= 0."""
+    if r < 3:
+        raise InvalidParameterError(f"star patterns require r >= 3, got {r}")
+    if k < 0:
+        raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
+
+
 def _check_vertex_budget(n: int) -> None:
     if n > MAX_ORDER:
         raise CapacityExceededError(f"order {n} exceeds the {MAX_ORDER}-vertex cap")

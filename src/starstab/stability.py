@@ -1,30 +1,30 @@
 """Deciders for vertex fault tolerance.
 
 A graph is k-fault stable for a pattern H when every deletion of k vertices
-(with incident edges) leaves a subgraph isomorphic to H. For star patterns
-the check reduces to a surviving degree bound; for general patterns it runs a
-backtracking subgraph-isomorphism search per fault set. Fault sets are
-enumerated in lexicographic order with early exit, so the reported witness is
-always the lexicographically smallest failing one. A walk longer than
-``MAX_FAULT_SETS`` is refused before it starts.
+(with incident edges) leaves a subgraph isomorphic to H. Both deciders run one
+walk over the include/exclude tree of vertices 0..n-1, include first, which
+meets the fault sets in lexicographic order, so the reported witness is always
+the lexicographically smallest failing one. A decider supplies only a cover
+test, a proof that every fault set below a tree node leaves a pattern copy:
+for a star, a bound on surviving degrees; for a general pattern, a
+backtracking search for a copy among the vertices sure to survive, run in place
+on a vertex bitmask. The walk skips a covered subtree and counts its sets as
+checked. So ``checked_fault_sets`` is C(n, k) when stable, the witness's
+lexicographic rank plus one when not, and 0 when the graph is too small for any
+pattern copy to survive.
 
-The star decider walks the include/exclude tree of vertices 0..n-1, include
-first, which visits fault sets in the same lexicographic order. It skips a
-subtree when a lower bound on surviving degrees shows that every fault set in
-it leaves a star center, and counts the skipped sets as checked. So
-``checked_fault_sets`` means the same for both deciders: C(n, k) when stable,
-the witness's lexicographic rank plus one when not, and 0 when the graph is too
-small for any pattern copy to survive.
+One decision may spend ``MAX_WORK`` units: a tree node or a search placement
+costs one. A decision that needs more is refused mid-walk with
+``CapacityExceededError``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import Graph, induced_delete
+from .graph import Graph, _check_rk
 
 __all__ = [
     "StabilityVerdict",
@@ -35,11 +35,12 @@ __all__ = [
 ]
 
 
-# About 14x the largest walk the benchmark makes (C(22, 11)). The general
-# decider runs a subgraph search per fault set. The star decider skips most
-# sets of the paper's hosts, but where its bound never fires it spends about
-# 2 us per set (a random 4-regular graph of order 24 at k = 5).
-MAX_FAULT_SETS = 10_000_000
+# 27x the largest test decision (37,270 nodes: C34(1,2,3), r = 5, k = 9) and
+# 720x the largest benchmark one (1,392 units, seeds 1-10). At 2-12 us a node
+# and 0.7 us a placement, an adversarial input is refused within about 10 s,
+# what the star walk takes over 10^7 fault sets where its bound rarely fires
+# (1.8 us a set).
+MAX_WORK = 1_000_000
 
 
 class StabilityVerdict(NamedTuple):
@@ -57,107 +58,79 @@ class StabilityVerdict(NamedTuple):
     checked_fault_sets: int
 
 
-def contains_subgraph(g: Graph, pattern: Graph) -> bool:
-    """True iff an injective edge-preserving map from pattern into g exists.
+class _Budget:
+    """The work units one decision has left."""
 
-    Plain backtracking: pattern vertices in decreasing degree order, target
-    candidates pruned by degree compatibility.
-    """
-    if pattern.n > g.n or pattern.size > g.size:
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = MAX_WORK
+
+    def charge(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise CapacityExceededError(f"the decision exceeds the work budget of {MAX_WORK} units")
+
+
+def _embeds(rows: tuple[int, ...], alive: int, pattern: Graph, budget: _Budget) -> bool:
+    """Whether the pattern has a copy in the subgraph induced on the vertex
+    mask ``alive``: backtracking over pattern vertices in decreasing degree
+    order, each placed on an unused vertex of high enough degree adjacent to
+    the images of its placed neighbours, at one work unit per placement."""
+    if pattern.n > alive.bit_count():
         return False
+    deg = [(row & alive).bit_count() for row in rows]
     order = sorted(range(pattern.n), key=lambda v: -pattern.degree(v))
-    pdeg = pattern.degrees()
-    gdeg = g.degrees()
+    pdeg = [pattern.degree(v) for v in order]
+    # the pattern neighbours of order[d] that come before it
+    back = [[q for q in order[:d] if pattern.rows[v] >> q & 1] for d, v in enumerate(order)]
     image = [0] * pattern.n
-    placed = [False] * pattern.n
 
-    def place(depth: int, used: int) -> bool:
-        if depth == pattern.n:
+    def place(depth: int, free: int) -> bool:
+        if depth == len(order):
             return True
-        pv = order[depth]
-        required = 0
-        w = pattern.rows[pv]
-        while w:
-            q = (w & -w).bit_length() - 1
-            w &= w - 1
-            if placed[q]:
-                required |= 1 << image[q]
-        for tv in range(g.n):
-            bit = 1 << tv
-            if used & bit or gdeg[tv] < pdeg[pv]:
-                continue
-            if g.rows[tv] & required == required:
-                image[pv] = tv
-                placed[pv] = True
-                if place(depth + 1, used | bit):
+        cands = free
+        for q in back[depth]:
+            cands &= rows[image[q]]
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            tv = bit.bit_length() - 1
+            if deg[tv] >= pdeg[depth]:
+                budget.charge()
+                image[order[depth]] = tv
+                if place(depth + 1, free ^ bit):
                     return True
-                placed[pv] = False
         return False
 
-    return place(0, 0)
+    return place(0, alive)
 
 
-def _trivial_unstable(g: Graph, k: int) -> StabilityVerdict:
-    # Too few vertices for any fault set to leave a pattern copy; the smallest
-    # fault set of size min(k, n) witnesses it.
-    return StabilityVerdict(False, tuple(range(min(k, g.n))), 0)
+def contains_subgraph(g: Graph, pattern: Graph) -> bool:
+    """True iff an injective edge-preserving map from pattern into g exists,
+    found within a work budget of its own."""
+    return _embeds(g.rows, (1 << g.n) - 1, pattern, _Budget())
 
 
-def _check_walk_budget(n: int, k: int) -> None:
-    if comb(n, k) > MAX_FAULT_SETS:
-        raise CapacityExceededError(
-            f"C({n}, {k}) fault sets exceed the walk budget of {MAX_FAULT_SETS}")
-
-
-def _covered(rows: tuple[int, ...], r: int, alive: int, undecided: int, m: int) -> bool:
-    """True when every choice of m more faults among ``undecided`` leaves a
-    vertex of degree >= r.
-
-    A survivor v keeps at least |N(v) & alive| - min(m, |N(v) & undecided|)
-    neighbours. One such bound >= r settles it for a vertex sure to survive;
-    for undecided vertices it takes m + 1, as m faults cannot remove them all.
-    """
-    sure = 0
-    w = alive
-    while w:
-        bit = w & -w
-        w ^= bit
-        row = rows[bit.bit_length() - 1] & alive
-        lost = (row & undecided).bit_count()
-        if row.bit_count() - (lost if lost < m else m) >= r:
-            if not bit & undecided:
-                return True
-            sure += 1
-            if sure > m:
-                return True
-    return False
-
-
-def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
-    """Decide whether g survives any k deletions with a degree-r vertex left.
-
-    Equivalent to k-fault stability for the r-leaf star pattern: a surviving
-    vertex of degree >= r is exactly a star center. The verdict, witness and
-    count are those of a flat walk over ``combinations(range(n), k)``.
-    """
-    if r < 3:
-        raise InvalidParameterError(f"star patterns require r >= 3, got {r}")
-    if k < 0:
-        raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
-    if g.n < r + 1 + k:
-        return _trivial_unstable(g, k)
-    _check_walk_budget(g.n, k)
-    # Depth-first over the include/exclude tree of vertices 0..n-1, include
-    # first, so fault sets come in lexicographic order. A node is (i, faults,
-    # m): vertices below i are decided, m faults remain to place among the
-    # rest, and a covered node's comb(n - i, m) fault sets all count.
-    n, rows = g.n, g.rows
+def _walk(n: int, k: int, smallest: int, covered: Callable[[int, int, int], bool],
+          budget: _Budget) -> StabilityVerdict:
+    """The k-subsets of vertices 0..n-1 in lexicographic order, as a
+    depth-first include/exclude walk, include first, for a pattern copy of
+    ``smallest`` vertices. A node (i, faults, m) has the vertices below i
+    decided and m faults left to place. ``covered(alive, undecided, m)`` may
+    hold only when every completion leaves a copy, and must be exact at a leaf
+    (m == 0); a covered node's comb(n - i, m) sets all count. A node costs one
+    work unit."""
+    if n - k < smallest:
+        # the smallest fault set of size min(k, n) leaves too few vertices
+        return StabilityVerdict(False, tuple(range(min(k, n))), 0)
     full = (1 << n) - 1
     checked = 0
     stack = [(0, 0, k)]
     while stack:
         i, faults, m = stack.pop()
-        if _covered(rows, r, full ^ faults, full >> i << i, m):
+        budget.charge()
+        if covered(full ^ faults, full >> i << i, m):
             checked += comb(n - i, m)
         elif m == 0:
             witness = tuple(v for v in range(n) if faults >> v & 1)
@@ -169,21 +142,49 @@ def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
     return StabilityVerdict(True, None, checked)
 
 
+def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
+    """Decide whether g survives any k deletions with a degree-r vertex left.
+
+    Equivalent to k-fault stability for the r-leaf star pattern: a surviving
+    vertex of degree >= r is exactly a star center.
+    """
+    _check_rk(r, k)
+    rows = g.rows
+
+    def covered(alive: int, undecided: int, m: int) -> bool:
+        # A survivor v keeps at least |N(v) & alive| - min(m, |N(v) & undecided|)
+        # neighbours. One such bound >= r settles it for a vertex sure to
+        # survive; for undecided vertices it takes m + 1, as m faults cannot
+        # remove them all.
+        sure = 0
+        w = alive
+        while w:
+            bit = w & -w
+            w ^= bit
+            row = rows[bit.bit_length() - 1] & alive
+            lost = (row & undecided).bit_count()
+            if row.bit_count() - (lost if lost < m else m) >= r:
+                if not bit & undecided:
+                    return True
+                sure += 1
+                if sure > m:
+                    return True
+        return False
+
+    return _walk(g.n, k, r + 1, covered, _Budget())
+
+
 def is_stable_general(g: Graph, pattern: Graph, k: int) -> StabilityVerdict:
-    """Exhaustive stability check for an arbitrary pattern at desk scale."""
+    """Stability for an arbitrary pattern. A tree node is covered when a copy
+    lies among the vertices sure to survive: the decided survivors at an
+    inner node, all survivors at a leaf."""
     if k < 0:
         raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
     if pattern.n == 0:
         return StabilityVerdict(True, None, 0)
-    if g.n - k < pattern.n:
-        return _trivial_unstable(g, k)
-    _check_walk_budget(g.n, k)
-    checked = 0
-    for fault in combinations(range(g.n), k):
-        checked += 1
-        if not contains_subgraph(induced_delete(g, fault), pattern):
-            return StabilityVerdict(False, fault, checked)
-    return StabilityVerdict(True, None, checked)
+    budget = _Budget()
+    return _walk(g.n, k, pattern.n, lambda alive, undecided, m: _embeds(
+        g.rows, alive & ~undecided if m else alive, pattern, budget), budget)
 
 
 def sparse_complement_guarantees_stable(g: Graph, r: int) -> bool:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .construct import star_stable
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import MAX_ORDER, Graph, complete, conjunction, near_complete_regular
+from .graph import MAX_ORDER, Graph, _check_rk, complete, conjunction, near_complete_regular
 
 __all__ = [
     "BOUNDARY_A",
@@ -70,13 +70,6 @@ class StabResult(NamedTuple):
     extremal_descriptors: tuple[str, ...]
 
 
-def _check_rk(r: int, k: int) -> None:
-    if r < 3:
-        raise InvalidParameterError(f"star patterns require r >= 3, got {r}")
-    if k < 0:
-        raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
-
-
 def k1(r: int) -> int:
     """Lower boundary constant (r-1)^2 - 2 for even r; odd for even r."""
     if r < 4 or r % 2:
@@ -86,9 +79,7 @@ def k1(r: int) -> int:
 
 def k0(r: int) -> int:
     """Smallest odd fault budget at or beyond (r-1)^2 - 2, which is (r-1)^2."""
-    if r < 4 or r % 2:
-        raise InvalidParameterError(f"boundary constants apply to even r >= 4, got {r}")
-    return (r - 1) ** 2
+    return k1(r) + 2
 
 
 def stab_case(r: int, k: int) -> StabCase:

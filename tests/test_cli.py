@@ -11,7 +11,6 @@ import pytest
 
 import starstab
 from starstab import (
-    complete,
     decode_graph6,
     encode_graph6,
     from_edges,
@@ -105,15 +104,31 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["stable"] is True
 
-    def test_oversized_fault_set_walk_exits_2(self, capsys, tmp_path):
+    def test_oversized_fault_set_walk_exits_2(self, capsys, tmp_path, monkeypatch):
+        # the star walk of C40(1,2,3) at r = 5, k = 10 visits about 317,000 nodes
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 10_000)
         path = tmp_path / "g.g6"
-        path.write_text(encode_graph6(complete(40)) + "\n")
+        path.write_text(encode_graph6(
+            from_edges(40, [(i, (i + d) % 40) for i in range(40) for d in (1, 2, 3)])) + "\n")
         start = time.perf_counter()
-        code, out, err = run(capsys, "verify", "--graph", str(path), "--r", "3", "--k", "20")
+        code, out, err = run(capsys, "verify", "--graph", str(path), "--r", "5", "--k", "10")
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "fault sets" in err
+        assert "work budget" in err
+
+    def test_unbounded_subgraph_search_exits_2(self, capsys, tmp_path, monkeypatch):
+        # one fault set, but K_{10,10} has no 9-cycle and the search must say so
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 100_000)
+        gpath, ppath = tmp_path / "g.g6", tmp_path / "h.g6"
+        gpath.write_text(encode_graph6(
+            from_edges(20, [(i, j) for i in range(10) for j in range(10, 20)])) + "\n")
+        ppath.write_text(encode_graph6(from_edges(9, [(i, (i + 1) % 9) for i in range(9)])) + "\n")
+        code, out, err = run(capsys, "verify", "--graph", str(gpath),
+                             "--pattern", str(ppath), "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert "work budget" in err
 
     # star_stable(16, 10) has order 27 and C(27, 10) = 8,436,285 fault sets;
     # each of its 11 total vertices keeps degree >= 16 after any 10 deletions

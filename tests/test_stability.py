@@ -1,12 +1,15 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
 from starstab import (
     CapacityExceededError,
     InvalidParameterError,
+    Labelling,
     StabilityVerdict,
+    bch_construct,
     canonical_form,
     complement,
     complete,
@@ -32,8 +35,16 @@ def random_graph(rng, n, p=0.5):
     return from_edges(n, edges)
 
 
+def circulant(n, distances):
+    return from_edges(n, [(i, (i + d) % n) for i in range(n) for d in distances])
+
+
 def cycle(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return circulant(n, [1])
+
+
+def complete_bipartite(a, b):
+    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def reference_star_walk(g, r, k):
@@ -53,6 +64,42 @@ def reference_star_walk(g, r, k):
                    for v in range(g.n) if alive >> v & 1):
             return StabilityVerdict(False, fault, checked)
     return StabilityVerdict(True, None, checked)
+
+
+def reference_general_walk(g, pattern, k):
+    """The flat walk is_stable_general must reproduce: every k-subset in
+    lexicographic order, each checked by a subgraph search in a new graph
+    with the fault set deleted."""
+    if pattern.n == 0:
+        return StabilityVerdict(True, None, 0)
+    if g.n - k < pattern.n:
+        return StabilityVerdict(False, tuple(range(min(k, g.n))), 0)
+    checked = 0
+    for fault in combinations(range(g.n), k):
+        checked += 1
+        if not contains_subgraph(induced_delete(g, fault), pattern):
+            return StabilityVerdict(False, fault, checked)
+    return StabilityVerdict(True, None, checked)
+
+
+def reference_contains(g, pattern):
+    """Subgraph containment by trying every injective map."""
+    return any(all(g.adjacent(image[u], image[v]) for u, v in pattern.edges())
+               for image in permutations(range(g.n), pattern.n))
+
+
+# the nine connected patterns of order 2 to 4
+CONNECTED_PATTERNS = [
+    complete(2),
+    from_edges(3, [(0, 1), (1, 2)]),
+    complete(3),
+    from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+    star(3),
+    cycle(4),
+    from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
+    complete(4),
+]
 
 
 def labelled_graphs(n):
@@ -119,6 +166,12 @@ class TestContainsSubgraph:
     def test_subgraph_not_induced(self):
         # a path embeds into a cycle even though no induced copy exists
         assert contains_subgraph(cycle(4), from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+
+    def test_every_labelled_host_up_to_order_five(self):
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                for pattern in CONNECTED_PATTERNS:
+                    assert contains_subgraph(g, pattern) == reference_contains(g, pattern)
 
 
 class TestIsStarStable:
@@ -190,6 +243,39 @@ class TestAgainstReferenceWalk:
                     assert is_star_stable(g, r, k) == reference_star_walk(g, r, k)
 
 
+class TestAgainstReferenceGeneralWalk:
+    # the pruned general walk must give the flat walk's verdict, witness and
+    # count; a cover that searched undecided vertices too would fail here
+    def test_every_labelled_graph_up_to_order_five(self):
+        for n in range(2, 6):
+            for g in labelled_graphs(n):
+                for pattern in CONNECTED_PATTERNS:
+                    for k in range(n + 1):
+                        assert (is_stable_general(g, pattern, k)
+                                == reference_general_walk(g, pattern, k))
+
+    def test_random_hosts_of_orders_six_to_nine(self):
+        rng = random.Random(83)
+        for _ in range(150):
+            g = random_graph(rng, rng.randrange(6, 10), rng.random())
+            pattern = rng.choice(CONNECTED_PATTERNS)
+            k = rng.randrange(4)
+            assert is_stable_general(g, pattern, k) == reference_general_walk(g, pattern, k)
+
+    def test_spare_vertex_hosts_of_orders_six_to_nine(self):
+        rng = random.Random(89)
+        for _ in range(60):
+            pattern = rng.choice(CONNECTED_PATTERNS)
+            k = rng.randrange(max(0, 6 - pattern.n), 10 - pattern.n)
+            labels = list(range(1, pattern.n + 1))
+            rng.shuffle(labels)
+            g = bch_construct(pattern, k, Labelling(tuple(labels))).result
+            # the host tolerates k faults; k + 1 can break it
+            for faults in (k, k + 1):
+                assert (is_stable_general(g, pattern, faults)
+                        == reference_general_walk(g, pattern, faults))
+
+
 class TestIsStableGeneral:
     def test_worked_expansion_is_two_fault_stable(self):
         assert is_stable_general(WORKED_EXPANSION, WORKED_PATTERN, 2).stable
@@ -222,28 +308,62 @@ class TestIsStableGeneral:
 
 
 class TestFaultSetBudget:
+    # one decision may spend MAX_WORK units: a walk node or a search placement
     def test_walk_of_exactly_the_budget_runs(self, monkeypatch):
-        g = star_stable(4, 3)  # order 8: C(8, 3) = 56 fault sets
-        monkeypatch.setattr("starstab.stability.MAX_FAULT_SETS", 56)
-        assert is_star_stable(g, 4, 3).checked_fault_sets == 56
-        assert is_stable_general(g, star(4), 3).checked_fault_sets == 56
-        monkeypatch.setattr("starstab.stability.MAX_FAULT_SETS", 55)
+        # the star walk of C34(1,2,3) at r = 5, k = 9 visits 37,270 nodes
+        g = circulant(34, [1, 2, 3])
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 37_270)
+        assert not is_star_stable(g, 5, 9).stable
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 37_269)
         with pytest.raises(CapacityExceededError):
-            is_star_stable(g, 4, 3)
+            is_star_stable(g, 5, 9)
+        # 9 nodes and 20 placements: the five covered nodes (the four leaves
+        # and the node with 0..3 alive) each place the star's four vertices
+        g, pattern = star_stable(3, 1), star(3)
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 29)
+        assert is_stable_general(g, pattern, 1).checked_fault_sets == 5
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 28)
         with pytest.raises(CapacityExceededError):
-            is_stable_general(g, star(4), 3)
+            is_stable_general(g, pattern, 1)
 
-    def test_both_deciders_refuse_an_oversized_walk(self):
-        g = complete(40)  # C(40, 20) is about 1.4e11 fault sets
+    def test_both_deciders_refuse_an_oversized_walk(self, monkeypatch):
+        # the star walk of C40(1,2,3) at r = 5, k = 10 visits about 317,000 nodes
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 10_000)
+        g = circulant(40, [1, 2, 3])
         with pytest.raises(CapacityExceededError):
-            is_star_stable(g, 3, 20)
+            is_star_stable(g, 5, 10)
         with pytest.raises(CapacityExceededError):
-            is_stable_general(g, star(3), 20)
+            is_stable_general(g, star(5), 10)
+
+    def test_subgraph_search_is_bounded(self, monkeypatch):
+        # one fault set, but the bipartite host has no odd cycle to find
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 100_000)
+        g = complete_bipartite(10, 10)
+        with pytest.raises(CapacityExceededError):
+            contains_subgraph(g, cycle(9))
+        with pytest.raises(CapacityExceededError):
+            is_stable_general(g, cycle(9), 0)
+
+    def test_each_search_has_a_budget_of_its_own(self, monkeypatch):
+        # K4 into K4 places its four vertices on the first try
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 4)
+        assert contains_subgraph(complete(4), complete(4))
+        assert contains_subgraph(complete(4), complete(4))
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 3)
+        with pytest.raises(CapacityExceededError):
+            contains_subgraph(complete(4), complete(4))
 
     def test_trivially_unstable_input_is_answered_not_refused(self):
         verdict = is_star_stable(complete(40), 30, 20)
         assert not verdict.stable
         assert verdict.checked_fault_sets == 0
+
+    def test_hosts_decided_at_the_root_are_answered(self):
+        assert is_star_stable(complete(40), 3, 20) == (True, None, comb(40, 20))
+        assert is_star_stable(star_stable(20, 15), 20, 15) == (True, None, comb(36, 15))
+        # not at the root: 37,270 nodes, within the budget
+        verdict = is_star_stable(circulant(34, [1, 2, 3]), 5, 9)
+        assert verdict.witness == (0, 2, 6, 10, 14, 18, 22, 26, 30)
 
 
 class TestSubsetCriterion:
