@@ -52,8 +52,6 @@ def canonical_form(g: Graph) -> CanonicalCode:
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.size != g2.size:
-        return False
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
     return canonical_form(g1) == canonical_form(g2)
@@ -137,8 +135,5 @@ def _min_key(rows: tuple[int, ...]) -> int:
                 return resume
         return None
 
-    initial: dict[int, list[int]] = {}
-    for v in range(len(rows)):
-        initial.setdefault(rows[v].bit_count(), []).append(v)
-    search(_refine(rows, [initial[d] for d in sorted(initial)]))
+    search(_refine(rows, [list(range(len(rows)))] if rows else []))
     return min(seen)

@@ -137,16 +137,27 @@ def _edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
     return tuple(reps)
 
 
+def _census(e: int, n: int) -> tuple[Graph, ...]:
+    """_edge_class_reps(e, n) within the census envelope: order <= MAX_CENSUS_ORDER,
+    and e <= MAX_COMPLEMENT_BUDGET above order SMALL_ORDER_EXEMPTION."""
+    if n > MAX_CENSUS_ORDER:
+        raise CapacityExceededError(f"order budget exceeded: order {n} > {MAX_CENSUS_ORDER}")
+    if e > MAX_COMPLEMENT_BUDGET and n > SMALL_ORDER_EXEMPTION:
+        raise CapacityExceededError(
+            f"complement-edge budget exceeded: {e} edges > {MAX_COMPLEMENT_BUDGET} "
+            f"at order {n} > {SMALL_ORDER_EXEMPTION}")
+    return _edge_class_reps(e, min(n, 2 * e))
+
+
 def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
     """One representative per iso class with e edges fitting in max_vertices,
     padded with isolated vertices to order max_vertices."""
     if e < 0:
         raise InvalidParameterError(f"edge count must be >= 0, got {e}")
-    if not 0 <= max_vertices <= MAX_CENSUS_ORDER:
-        raise InvalidParameterError(
-            f"max_vertices must be in 0..{MAX_CENSUS_ORDER}, got {max_vertices}")
+    if max_vertices < 0:
+        raise InvalidParameterError(f"max_vertices must be >= 0, got {max_vertices}")
     padded = (pad(decode_graph6(canonical_form(rep).code), max_vertices)
-              for rep in _edge_class_reps(e, min(max_vertices, 2 * e)))
+              for rep in _census(e, max_vertices))
     for _, g in sorted((canonical_form(g).code, g) for g in padded):
         yield g
 
@@ -160,12 +171,11 @@ def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     multisets come in lexicographic order of their non-decreasing index
     lists. Representatives are not canonically labelled.
     """
-    if not 0 <= n <= MAX_CENSUS_ORDER:
-        raise InvalidParameterError(f"order must be in 0..{MAX_CENSUS_ORDER}, got {n}")
+    if n < 0:
+        raise InvalidParameterError(f"order must be >= 0, got {n}")
     if not 0 <= m <= comb(n, 2):
         raise InvalidParameterError(f"size {m} impossible at order {n}")
-    e = comb(n, 2) - m
-    for rep in _edge_class_reps(e, min(n, 2 * e)):
+    for rep in _census(comb(n, 2) - m, n):
         yield complement(pad(rep, n))
 
 
@@ -174,40 +184,27 @@ def certify(r: int, k: int) -> Certificate:
 
     Checks that no graph of order r+k+1 with one edge fewer is stable, and
     that the stable classes at the claimed size are exactly the expected
-    extremal family. A refutation is reported in the certificate, not raised.
+    extremal family. A refutation is reported in the certificate, not raised;
+    a census outside the census envelope raises CapacityExceededError.
     """
-    from .certificate import SCHEMA_VERSION, Certificate
-
     value = stab_value(r, k)
     n = r + k + 1
-    if n > MAX_CENSUS_ORDER:
-        raise CapacityExceededError(
-            f"order budget exceeded: r+k+1 = {n} > {MAX_CENSUS_ORDER}")
-    budget = comb(n, 2) - value + 1
-    if budget > MAX_COMPLEMENT_BUDGET and n > SMALL_ORDER_EXEMPTION:
-        raise CapacityExceededError(
-            f"complement-edge budget exceeded: C({n},2) - {value} + 1 = {budget} "
-            f"> {MAX_COMPLEMENT_BUDGET} at order {n} > {SMALL_ORDER_EXEMPTION}")
+
+    def stable(g: Graph) -> bool:
+        return sparse_complement_guarantees_stable(g, r) or is_star_stable(g, r, k).stable
+
     start = time.perf_counter()
-    candidates_below = 0
-    minimality_ok = True
-    for g in graphs_of_order_and_size(n, value - 1):
-        candidates_below += 1
-        if sparse_complement_guarantees_stable(g, r) or is_star_stable(g, r, k).stable:
-            minimality_ok = False
-    found = sorted(
-        canonical_form(g).code
-        for g in graphs_of_order_and_size(n, value)
-        if sparse_complement_guarantees_stable(g, r) or is_star_stable(g, r, k).stable
-    )
+    below = [stable(g) for g in graphs_of_order_and_size(n, value - 1)]
+    found = sorted(canonical_form(g).code for g in graphs_of_order_and_size(n, value) if stable(g))
     expected = sorted(canonical_form(h).code for h in extremal_family(r, k))
+    from .certificate import SCHEMA_VERSION, Certificate
     return Certificate(
         schema_version=SCHEMA_VERSION,
         r=r,
         k=k,
         claimed_value=value,
-        minimality_ok=minimality_ok,
-        candidates_below=candidates_below,
+        minimality_ok=not any(below),
+        candidates_below=len(below),
         extremal_found=tuple(found),
         extremal_expected=tuple(expected),
         match=found == expected,

@@ -26,13 +26,11 @@ def _read_graph_file(path: str) -> Graph:
     return decode_graph6(Path(path).read_text())
 
 
-def _parse_labelling(text: str, n: int) -> Labelling:
+def _parse_labelling(text: str) -> Labelling:
     try:
         labels = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise StarstabError(f"labelling must be comma-separated integers, got {text!r}")
-    if len(labels) != n:
-        raise StarstabError(f"labelling lists {len(labels)} labels, pattern has {n} vertices")
     return Labelling(labels)
 
 
@@ -53,7 +51,7 @@ def _cmd_construct(args) -> int:
     else:
         pattern = star(args.r)
     labelling = (
-        _parse_labelling(args.labelling, pattern.n)
+        _parse_labelling(args.labelling)
         if args.labelling is not None
         else Labelling.identity(pattern.n)
     )

@@ -19,8 +19,9 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import CapacityExceededError, InvalidParameterError
-from .graph import MAX_ORDER, Graph, _check_rk, _Value, complete, conjunction, empty, from_edges, star
+from .errors import InvalidParameterError
+from .graph import (Graph, _check_rk, _check_vertex_budget, _Value, complete, conjunction, empty,
+                    from_edges, star)
 
 __all__ = [
     "Embedding",
@@ -28,7 +29,6 @@ __all__ = [
     "LabeledInstance",
     "Labelling",
     "bch_construct",
-    "default_star_labelling",
     "recovery_embedding",
     "star_instance",
     "star_stable",
@@ -102,8 +102,7 @@ def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstan
     if len(labelling.labels) != n:
         raise InvalidParameterError(
             f"labelling covers {len(labelling.labels)} vertices, pattern has {n}")
-    if n + k > MAX_ORDER:
-        raise CapacityExceededError(f"order {n + k} exceeds the {MAX_ORDER}-vertex cap")
+    _check_vertex_budget(n + k)
     if any(not pattern.rows[v] for v in range(n)):
         warnings.warn(
             "pattern has isolated vertices; construction proceeds but "
@@ -125,14 +124,8 @@ def star_stable(r: int, k: int) -> Graph:
     """The unique spare-vertex expansion of a star: join of K_{k+1} and r
     isolated vertices, on r+k+1 vertices with (k+1)(2r+k)/2 edges."""
     _check_rk(r, k)
-    if r + k + 1 > MAX_ORDER:
-        raise CapacityExceededError(f"order {r + k + 1} exceeds the {MAX_ORDER}-vertex cap")
+    _check_vertex_budget(r + k + 1)
     return conjunction(complete(k + 1), empty(r))
-
-
-def default_star_labelling(r: int) -> Labelling:
-    """Center at label 1, leaves at 2..r+1; the identity on star(r)'s indices."""
-    return Labelling.identity(r + 1)
 
 
 def recovery_embedding(instance: LabeledInstance, faults: Iterable[int]) -> Embedding:
@@ -179,8 +172,6 @@ def _validate_embedding(
                 f"pattern edge with labels ({label(u)}, {label(v)}) lost under the embedding")
 
 
-def star_instance(r: int, k: int, labelling: Labelling | None = None) -> LabeledInstance:
-    """Constructed star instance; default labelling puts the center at label 1."""
-    if labelling is None:
-        labelling = default_star_labelling(r)
-    return bch_construct(star(r), k, labelling)
+def star_instance(r: int, k: int) -> LabeledInstance:
+    """Constructed star instance: the center at label 1, leaves at 2..r+1."""
+    return bch_construct(star(r), k, Labelling.identity(r + 1))

@@ -183,8 +183,7 @@ def conjunction(g1: Graph, g2: Graph) -> Graph:
     The result has order |g1| + |g2| and size ||g1|| + ||g2|| + |g1|*|g2|.
     """
     n1, n2 = g1.n, g2.n
-    if n1 + n2 > MAX_ORDER:
-        raise CapacityExceededError(f"joint order {n1 + n2} exceeds the {MAX_ORDER}-vertex cap")
+    _check_vertex_budget(n1 + n2)
     mask1 = (1 << n1) - 1
     mask2 = ((1 << n2) - 1) << n1
     rows = [g1.rows[v] | mask2 for v in range(n1)]

@@ -11,7 +11,8 @@ backtracking search for a copy among the vertices sure to survive, run in place
 on a vertex bitmask. The walk skips a covered subtree and counts its sets as
 checked. So ``checked_fault_sets`` is C(n, k) when stable, the witness's
 lexicographic rank plus one when not, and 0 when the graph is too small for any
-pattern copy to survive.
+pattern copy to survive. The empty pattern survives every fault set, so it is
+stable with count C(n, k), which is 0 when k > n.
 
 One decision may spend ``MAX_WORK`` units: a tree node or a search placement
 costs one. A decision that needs more is refused mid-walk with
@@ -121,7 +122,7 @@ def _walk(n: int, k: int, smallest: int, covered: Callable[[int, int, int], bool
     hold only when every completion leaves a copy, and must be exact at a leaf
     (m == 0); a covered node's comb(n - i, m) sets all count. A node costs one
     work unit."""
-    if n - k < smallest:
+    if max(n - k, 0) < smallest:
         # the smallest fault set of size min(k, n) leaves too few vertices
         return StabilityVerdict(False, tuple(range(min(k, n))), 0)
     full = (1 << n) - 1
@@ -180,8 +181,6 @@ def is_stable_general(g: Graph, pattern: Graph, k: int) -> StabilityVerdict:
     inner node, all survivors at a leaf."""
     if k < 0:
         raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
-    if pattern.n == 0:
-        return StabilityVerdict(True, None, 0)
     budget = _Budget()
     return _walk(g.n, k, pattern.n, lambda alive, undecided, m: _embeds(
         g.rows, alive & ~undecided if m else alive, pattern, budget), budget)

@@ -18,8 +18,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .construct import star_stable
-from .errors import CapacityExceededError, InvalidParameterError
-from .graph import MAX_ORDER, Graph, _check_rk, complete, conjunction, near_complete_regular
+from .errors import InvalidParameterError
+from .graph import (Graph, _check_rk, _check_vertex_budget, complete, conjunction,
+                    near_complete_regular)
 
 __all__ = [
     "BOUNDARY_A",
@@ -141,6 +142,5 @@ def extremal_family(r: int, k: int) -> list[Graph]:
     """All minimum-size stable graphs on r+k+1 vertices, one per iso class,
     in deterministic descriptor order."""
     _check_rk(r, k)
-    if r + k + 1 > MAX_ORDER:
-        raise CapacityExceededError(f"order {r + k + 1} exceeds the {MAX_ORDER}-vertex cap")
+    _check_vertex_budget(r + k + 1)
     return [_realize(d, r, k) for d in stab_result(r, k).extremal_descriptors]

@@ -218,7 +218,7 @@ class TestEnumerateByEdges:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             list(enumerate_graphs_by_edges(-1, 5))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(CapacityExceededError):
             list(enumerate_graphs_by_edges(2, 17))
 
 
@@ -275,8 +275,41 @@ class TestGraphsOfOrderAndSize:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             list(graphs_of_order_and_size(4, 7))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(CapacityExceededError):
             list(graphs_of_order_and_size(17, 1))
+
+
+class TestCensusEnvelope:
+    # order <= 16, and at most 8 census edges above order 8, whether the
+    # census is asked for by edges, by order and size, or by certify
+
+    def test_generators_serve_eight_edges_at_order_sixteen(self):
+        assert len(list(enumerate_graphs_by_edges(8, 16))) == 497
+        assert len(list(graphs_of_order_and_size(16, comb(16, 2) - 8))) == 497
+
+    def test_generators_serve_any_edge_count_up_to_order_eight(self):
+        for n in range(8):
+            for e in range(comb(n, 2) + 1):
+                assert (len(list(enumerate_graphs_by_edges(e, n)))
+                        == len(list(graphs_of_order_and_size(n, comb(n, 2) - e))))
+        assert len(list(enumerate_graphs_by_edges(9, 8))) == 402
+        assert len(list(graphs_of_order_and_size(8, comb(8, 2) - 9))) == 402
+
+    @pytest.mark.parametrize("e, n", [(9, 9), (9, 16), (13, 16)])
+    def test_generators_refuse_beyond_the_edge_budget(self, e, n):
+        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
+            next(enumerate_graphs_by_edges(e, n))
+        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
+            next(graphs_of_order_and_size(n, comb(n, 2) - e))
+
+    def test_certify_serves_order_sixteen_within_the_edge_budget(self):
+        # four census edges at order 16; no instance needs exactly eight there
+        cert = certify(3, 12)
+        assert cert.minimality_ok and cert.match
+
+    def test_certify_refuses_nine_edges_at_order_sixteen(self):
+        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
+            certify(4, 11)
 
 
 class TestCertify:

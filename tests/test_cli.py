@@ -104,6 +104,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["stable"] is True
 
+    def test_empty_pattern_survives_every_fault_set(self, capsys, tmp_path):
+        gpath = tmp_path / "g.g6"
+        gpath.write_text(encode_graph6(star(3)) + "\n")
+        ppath = tmp_path / "h.g6"
+        ppath.write_text("?\n")
+        code, out, _ = run(capsys, "verify", "--graph", str(gpath),
+                           "--pattern", str(ppath), "--k", "2")
+        assert code == 0
+        assert json.loads(out) == {"stable": True, "witness": None, "checked_fault_sets": 6}
+
     def test_oversized_fault_set_walk_exits_2(self, capsys, tmp_path, monkeypatch):
         # the star walk of C40(1,2,3) at r = 5, k = 10 visits about 317,000 nodes
         monkeypatch.setattr("starstab.stability.MAX_WORK", 10_000)
@@ -282,6 +292,12 @@ class TestEnumerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0eb0309d56dd3917dd746c6652015ef794ce5acfe9f02972439ae718caad3333")
+
+    def test_census_beyond_the_edge_budget_is_refused_fast(self):
+        proc = run_cli_subprocess("enumerate", "--edges", "13", "--max-vertices", "16")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "complement-edge budget" in proc.stderr
 
     def test_eight_edge_census_is_pinned(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--edges", "8", "--max-vertices", "16")

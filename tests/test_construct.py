@@ -11,20 +11,23 @@ import pytest
 
 import starstab
 from starstab import (
+    CapacityExceededError,
     Embedding,
     InvalidParameterError,
     IsolatedPatternWarning,
     Labelling,
     bch_construct,
     complete,
+    conjunction,
     empty,
+    extremal_family,
     from_edges,
     is_isomorphic,
     recovery_embedding,
     star,
     star_stable,
 )
-from starstab.construct import default_star_labelling, star_instance
+from starstab.construct import star_instance
 
 
 def random_graph(rng, n, p=0.5):
@@ -226,4 +229,15 @@ class TestRecoveryEmbedding:
 
 
 def test_default_star_labelling_center_first():
-    assert default_star_labelling(4).labels == (1, 2, 3, 4, 5)
+    assert star_instance(4, 1).labelling.labels == (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: star_stable(4, 61), 66),
+    (lambda: extremal_family(4, 60), 65),
+    (lambda: bch_construct(star(3), 61, Labelling.identity(4)), 65),
+    (lambda: conjunction(empty(40), empty(30)), 70),
+], ids=["star_stable", "extremal_family", "bch_construct", "conjunction"])
+def test_vertex_cap_names_the_full_order(build, order):
+    with pytest.raises(CapacityExceededError, match=f"^order {order} exceeds the 64-vertex cap$"):
+        build()

@@ -70,9 +70,7 @@ def reference_general_walk(g, pattern, k):
     """The flat walk is_stable_general must reproduce: every k-subset in
     lexicographic order, each checked by a subgraph search in a new graph
     with the fault set deleted."""
-    if pattern.n == 0:
-        return StabilityVerdict(True, None, 0)
-    if g.n - k < pattern.n:
+    if max(g.n - k, 0) < pattern.n:
         return StabilityVerdict(False, tuple(range(min(k, g.n))), 0)
     checked = 0
     for fault in combinations(range(g.n), k):
@@ -305,6 +303,16 @@ class TestIsStableGeneral:
         verdict = is_stable_general(star_stable(3, 1), star(3), 1)
         assert verdict.stable
         assert verdict.checked_fault_sets == 5
+
+    def test_empty_pattern_survives_every_fault_set(self):
+        # every fault set leaves a copy of the empty pattern, so all C(n, k)
+        # count, and there are none when k > n
+        for n in range(5):
+            for host in (empty(n), complete(n)):
+                for k in range(7):
+                    expected = (True, None, comb(n, k))
+                    assert is_stable_general(host, empty(0), k) == expected
+                    assert reference_general_walk(host, empty(0), k) == expected
 
 
 class TestFaultSetBudget:
