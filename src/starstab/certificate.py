@@ -2,8 +2,9 @@
 
 A certificate file is one JSON object holding every field of
 :class:`Certificate` under its own name, keys sorted, indented by two spaces.
-Reading refuses a schema version other than ``SCHEMA_VERSION`` and a file
-missing any field.
+Reading refuses, with ``SchemaMismatchError``, a file that is not a JSON
+object, a schema version other than ``SCHEMA_VERSION``, a file missing any
+field, and code lists that are not JSON arrays.
 
 The package imports this module on first use, because ``dataclasses`` would
 otherwise add to the start-up of every CLI call.
@@ -46,6 +47,8 @@ def write_certificate(cert: Certificate, path: str | Path) -> None:
 
 def read_certificate(path: str | Path) -> Certificate:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise SchemaMismatchError(f"certificate is a JSON {type(payload).__name__}, not an object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaMismatchError(
@@ -56,5 +59,7 @@ def read_certificate(path: str | Path) -> Certificate:
         raise SchemaMismatchError(f"certificate missing fields: {sorted(missing)}")
     values = {name: payload[name] for name in fields}
     for name in ("extremal_found", "extremal_expected"):
+        if not isinstance(values[name], list):
+            raise SchemaMismatchError(f"certificate field {name} is not a list: {values[name]!r}")
         values[name] = tuple(values[name])
     return Certificate(**values)

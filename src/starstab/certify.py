@@ -1,10 +1,14 @@
 """Exhaustive desk-scale certification of minimality and extremal uniqueness.
 
 The certifier visits every isomorphism class of graphs on n = r+k+1 vertices
-at the claimed minimum size and one edge below it. Dense graphs are reached
-through their sparse complements: each desk instance leaves at most a handful
+at the claimed minimum size and one edge below it. Every census of order n and
+size m is served from its sparser side, with e = min(m, C(n,2) - m) census
+edges: each class is a graph with e edges and no isolated vertices, padded to
+order n, or the complement of one. Each desk instance leaves at most a handful
 of complement edges, so the census stays in the hundreds of classes where a
-direct edge-count census would be astronomically large.
+direct edge-count census would be astronomically large. Above order 8 a
+census may have at most 8 edges; the order is bounded only by the 64-vertex
+graph cap, and certificates by the 62-vertex cap of canonical codes.
 
 Isomorph-free generation has two levels. Connected classes with e edges grow
 from those with e-1 edges by one new edge: between two non-adjacent vertices,
@@ -38,7 +42,8 @@ from typing import TYPE_CHECKING, Iterator
 
 from .canon import canonical_form
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import Graph, complement, decode_graph6, from_edges, pad
+from .graph import (Graph, _check_vertex_budget, complement, decode_graph6, from_edges,
+                    induced_delete, pad)
 from .stability import is_star_stable, sparse_complement_guarantees_stable
 from .theorem import extremal_family, stab_value
 
@@ -47,10 +52,9 @@ if TYPE_CHECKING:
 
 __all__ = ["certify", "enumerate_graphs_by_edges", "graphs_of_order_and_size"]
 
-MAX_CENSUS_ORDER = 16
 MAX_COMPLEMENT_BUDGET = 8
-# Below this order the class counts stay tiny for every edge count, so the
-# complement-edge budget is not needed to keep the census bounded.
+# Up to this order the sparser side has at most C(8,2)/2 = 14 edges and the
+# census stays small, so the complement-edge budget is not needed.
 SMALL_ORDER_EXEMPTION = 8
 
 
@@ -137,27 +141,14 @@ def _edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
     return tuple(reps)
 
 
-def _census(e: int, n: int) -> tuple[Graph, ...]:
-    """_edge_class_reps(e, n) within the census envelope: order <= MAX_CENSUS_ORDER,
-    and e <= MAX_COMPLEMENT_BUDGET above order SMALL_ORDER_EXEMPTION."""
-    if n > MAX_CENSUS_ORDER:
-        raise CapacityExceededError(f"order budget exceeded: order {n} > {MAX_CENSUS_ORDER}")
-    if e > MAX_COMPLEMENT_BUDGET and n > SMALL_ORDER_EXEMPTION:
-        raise CapacityExceededError(
-            f"complement-edge budget exceeded: {e} edges > {MAX_COMPLEMENT_BUDGET} "
-            f"at order {n} > {SMALL_ORDER_EXEMPTION}")
-    return _edge_class_reps(e, min(n, 2 * e))
-
-
 def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
     """One representative per iso class with e edges fitting in max_vertices,
-    padded with isolated vertices to order max_vertices."""
-    if e < 0:
-        raise InvalidParameterError(f"edge count must be >= 0, got {e}")
-    if max_vertices < 0:
-        raise InvalidParameterError(f"max_vertices must be >= 0, got {max_vertices}")
-    padded = (pad(decode_graph6(canonical_form(rep).code), max_vertices)
-              for rep in _census(e, max_vertices))
+    canonically labelled on its non-isolated vertices, padded with isolated
+    vertices to order max_vertices, and sorted by canonical code."""
+    padded = []
+    for g in graphs_of_order_and_size(max_vertices, e):
+        core = induced_delete(g, [v for v in range(g.n) if not g.rows[v]])
+        padded.append(pad(decode_graph6(canonical_form(core).code), max_vertices))
     for _, g in sorted((canonical_form(g).code, g) for g in padded):
         yield g
 
@@ -165,18 +156,28 @@ def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
 def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     """One representative per iso class with order n and size m.
 
-    Classes come in census order, which is deterministic: the complement of
-    each class, without its isolated vertices, is a multiset of connected
-    classes; these are ordered by edge count, then by canonical code, and the
-    multisets come in lexicographic order of their non-decreasing index
-    lists. Representatives are not canonically labelled.
+    The census runs on the sparser side, with e = min(m, C(n,2) - m) edges,
+    and above order SMALL_ORDER_EXEMPTION it is refused with
+    CapacityExceededError when e > MAX_COMPLEMENT_BUDGET. Classes come in
+    census order, which is deterministic: each class, or its complement when
+    e < m, is without its isolated vertices a multiset of connected classes
+    with e edges in all; these are ordered by edge count, then by canonical
+    code, and the multisets come in lexicographic order of their
+    non-decreasing index lists. Representatives are not canonically labelled.
     """
+    _check_vertex_budget(n)
     if n < 0:
         raise InvalidParameterError(f"order must be >= 0, got {n}")
     if not 0 <= m <= comb(n, 2):
         raise InvalidParameterError(f"size {m} impossible at order {n}")
-    for rep in _census(comb(n, 2) - m, n):
-        yield complement(pad(rep, n))
+    e = min(m, comb(n, 2) - m)
+    if e > MAX_COMPLEMENT_BUDGET and n > SMALL_ORDER_EXEMPTION:
+        raise CapacityExceededError(
+            f"complement-edge budget exceeded: {e} edges > {MAX_COMPLEMENT_BUDGET} "
+            f"at order {n} > {SMALL_ORDER_EXEMPTION}")
+    for rep in _edge_class_reps(e, min(n, 2 * e)):
+        g = pad(rep, n)
+        yield g if e == m else complement(g)
 
 
 def certify(r: int, k: int) -> Certificate:

@@ -26,19 +26,12 @@ def _read_graph_file(path: str) -> Graph:
     return decode_graph6(Path(path).read_text())
 
 
-def _parse_labelling(text: str) -> Labelling:
+def _parse_ints(text: str, error: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; otherwise StarstabError names ``error``."""
     try:
-        labels = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise StarstabError(f"labelling must be comma-separated integers, got {text!r}")
-    return Labelling(labels)
-
-
-def _parse_faults(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise StarstabError(f"faults must be comma-separated labels, got {text!r}")
+        raise StarstabError(f"{error}, got {text!r}")
 
 
 def _emit(obj) -> None:
@@ -51,7 +44,7 @@ def _cmd_construct(args) -> int:
     else:
         pattern = star(args.r)
     labelling = (
-        _parse_labelling(args.labelling)
+        Labelling(_parse_ints(args.labelling, "labelling must be comma-separated integers"))
         if args.labelling is not None
         else Labelling.identity(pattern.n)
     )
@@ -117,12 +110,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_recover(args) -> int:
     instance = star_instance(args.r, args.k)
-    faults = _parse_faults(args.faults)
+    faults = _parse_ints(args.faults, "faults must be comma-separated labels")
     embedding = recovery_embedding(instance, faults)
     _emit({
         "r": args.r,
         "k": args.k,
-        "faults": sorted(faults),
+        "faults": sorted(set(faults)),
         "mapping": [list(pair) for pair in embedding.pairs],
     })
     return 0

@@ -79,7 +79,7 @@ def k1(r: int) -> int:
 
 
 def k0(r: int) -> int:
-    """Smallest odd fault budget at or beyond (r-1)^2 - 2, which is (r-1)^2."""
+    """Upper boundary constant (r-1)^2 = k1 + 2 for even r: the first k of case 3."""
     return k1(r) + 2
 
 

@@ -218,8 +218,10 @@ class TestEnumerateByEdges:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             list(enumerate_graphs_by_edges(-1, 5))
-        with pytest.raises(CapacityExceededError):
-            list(enumerate_graphs_by_edges(2, 17))
+        # no order cap below the vertex cap: a path and two disjoint edges
+        assert len(list(enumerate_graphs_by_edges(2, 17))) == 2
+        with pytest.raises(InvalidParameterError, match="impossible"):
+            list(enumerate_graphs_by_edges(30, 8))
 
 
 class TestCensusLevels:
@@ -275,13 +277,24 @@ class TestGraphsOfOrderAndSize:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             list(graphs_of_order_and_size(4, 7))
-        with pytest.raises(CapacityExceededError):
-            list(graphs_of_order_and_size(17, 1))
+        assert list(graphs_of_order_and_size(17, 1)) == [from_edges(17, [(0, 1)])]
+        with pytest.raises(CapacityExceededError, match="64-vertex cap"):
+            next(graphs_of_order_and_size(65, 1))
+
+    def test_every_size_at_order_eight(self):
+        # each size is served from its sparser side, at most 14 census edges
+        total = 0
+        for m in range(comb(8, 2) + 1):
+            classes = list(graphs_of_order_and_size(8, m))
+            assert all(g.n == 8 and g.size == m for g in classes)
+            total += len(classes)
+        assert total == 12346  # graphs on 8 vertices, OEIS A000088
 
 
 class TestCensusEnvelope:
-    # order <= 16, and at most 8 census edges above order 8, whether the
-    # census is asked for by edges, by order and size, or by certify
+    # at most 8 census edges on the sparser side above order 8, whether the
+    # census is asked for by edges, by order and size, or by certify; the
+    # order is bounded by the vertex and canonical-code caps alone
 
     def test_generators_serve_eight_edges_at_order_sixteen(self):
         assert len(list(enumerate_graphs_by_edges(8, 16))) == 497
@@ -311,6 +324,17 @@ class TestCensusEnvelope:
         with pytest.raises(CapacityExceededError, match="complement-edge budget"):
             certify(4, 11)
 
+    def test_certify_serves_r3_at_every_order_with_canonical_codes(self):
+        for k in range(13, 59):
+            cert = certify(3, k)
+            assert cert.minimality_ok and cert.match, k
+
+    def test_certify_refuses_beyond_the_vertex_caps(self):
+        with pytest.raises(CapacityExceededError, match="canonical codes support order <= 62"):
+            certify(3, 59)
+        with pytest.raises(CapacityExceededError, match="64-vertex cap"):
+            certify(3, 61)
+
 
 class TestCertify:
     def test_smallest_instance(self):
@@ -334,7 +358,8 @@ class TestCertify:
         assert a == b
 
     def test_order_budget(self):
-        with pytest.raises(CapacityExceededError, match="order budget"):
+        # order 18 is served, but 10 census edges there are not
+        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
             certify(4, 13)
 
     def test_complement_budget(self):
@@ -371,6 +396,17 @@ class TestCertificatePersistence:
         payload = json.loads(path.read_text())
         del payload["match"]
         path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaMismatchError):
+            read_certificate(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: [payload],
+        lambda payload: {**payload, "extremal_found": 5},
+    ], ids=["array", "non-list-codes"])
+    def test_malformed_file_rejected(self, tmp_path, edit):
+        path = tmp_path / "cert.json"
+        write_certificate(certify(3, 0), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(SchemaMismatchError):
             read_certificate(path)
 

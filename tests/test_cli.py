@@ -274,6 +274,13 @@ class TestRecover:
         payload = json.loads(out)
         assert payload["mapping"] == [[1, 2], [2, 3], [3, 4], [4, 5]]
 
+    def test_duplicate_faults_echoed_once(self, capsys):
+        code, out, _ = run(capsys, "recover", "--r", "3", "--k", "1", "--faults", "2,2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["faults"] == [2]
+        assert payload["mapping"] == [[1, 1], [2, 3], [3, 4], [4, 5]]
+
     def test_budget_violation_exit_2(self, capsys):
         code, _, err = run(capsys, "recover", "--r", "3", "--k", "1", "--faults", "1,2")
         assert code == 2
@@ -298,6 +305,19 @@ class TestEnumerate:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "complement-edge budget" in proc.stderr
+
+    def test_dense_census_runs_on_the_sparse_side(self):
+        # K8 from its empty complement; a census of 28 edges took 8 s
+        proc = run_cli_subprocess("enumerate", "--edges", "28", "--max-vertices", "8",
+                                  timeout=2)
+        assert proc.returncode == 0
+        assert proc.stdout == "G~~~~{\n"
+
+    def test_more_edges_than_pairs_exits_2(self):
+        proc = run_cli_subprocess("enumerate", "--edges", "30", "--max-vertices", "8")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "size 30 impossible at order 8" in proc.stderr
 
     def test_eight_edge_census_is_pinned(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--edges", "8", "--max-vertices", "16")
