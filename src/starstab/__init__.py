@@ -7,10 +7,9 @@ graphs, and certify minimality and extremal uniqueness by complete
 isomorph-free enumeration at desk scale.
 """
 
-from .canon import CanonicalCode, canonical_form, is_isomorphic
+from .canon import canonical_form, is_isomorphic
 from .certify import certify, enumerate_graphs_by_edges, graphs_of_order_and_size
 from .construct import (
-    Embedding,
     IsolatedPatternWarning,
     LabeledInstance,
     Labelling,
@@ -60,10 +59,8 @@ from .theorem import (
 )
 
 __all__ = [
-    "CanonicalCode",
     "CapacityExceededError",
     "Certificate",
-    "Embedding",
     "Graph",
     "Graph6ParseError",
     "InvalidParameterError",

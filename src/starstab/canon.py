@@ -9,6 +9,11 @@ order. The canonical code is the least key over the orderings the search
 reaches, packed directly as graph6 text, which makes codes directly
 comparable and storable.
 
+A cell of mutual twins (say, the isolated vertices that pad a graph) splits
+into its singletons in one step: in an equitable partition, individualizing a
+twin splits nothing, so the search would descend one child per vertex in cell
+order. The step pushes one path entry for the automorphism prune below.
+
 Leaves with equal keys prune the search by the automorphism between them
 (McKay 1981; McKay & Piperno 2014). If a leaf repeats the key of an earlier
 leaf, the two orderings differ by an automorphism that fixes the vertices
@@ -26,20 +31,12 @@ bitwise negation of the graph's, so the code is the negated least key.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import CapacityExceededError
 from .graph import GRAPH6_MAX_ORDER, Graph, _graph6_text, _pair_bits
 
 
-class CanonicalCode(NamedTuple):
-    """Isomorphism-class identifier: canonical graph6 text."""
-
-    code: str
-
-
-def canonical_form(g: Graph) -> CanonicalCode:
-    """Relabelling-invariant code; equal codes iff isomorphic graphs."""
+def canonical_form(g: Graph) -> str:
+    """Canonical graph6 text: equal for two graphs iff they are isomorphic."""
     n = g.n
     if n > GRAPH6_MAX_ORDER:
         raise CapacityExceededError(f"canonical codes support order <= {GRAPH6_MAX_ORDER}, got {n}")
@@ -47,8 +44,8 @@ def canonical_form(g: Graph) -> CanonicalCode:
     if 2 * g.size > npairs:
         full = (1 << n) - 1
         comp_rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows))
-        return CanonicalCode(_graph6_text(n, _min_key(comp_rows) ^ ((1 << npairs) - 1)))
-    return CanonicalCode(_graph6_text(n, _min_key(g.rows)))
+        return _graph6_text(n, _min_key(comp_rows) ^ ((1 << npairs) - 1))
+    return _graph6_text(n, _min_key(g.rows))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -125,11 +122,16 @@ def _min_key(rows: tuple[int, ...]) -> int:
             return shared
         depth = len(path)
         target = cells[idx]
-        for v in _twin_representatives(rows, target):
-            rest = [u for u in target if u != v]
-            child = cells[:idx] + [[v], rest] + cells[idx + 1:]
+        reps = _twin_representatives(rows, target)
+        for v in reps:
+            if len(reps) == 1:
+                # mutual twins: the cell splits into its singletons in order
+                child = cells[:idx] + [[u] for u in target] + cells[idx + 1:]
+            else:
+                rest = [u for u in target if u != v]
+                child = _refine(rows, cells[:idx] + [[v], rest] + cells[idx + 1:])
             path.append(v)
-            resume = search(_refine(rows, child))
+            resume = search(child)
             path.pop()
             if resume is not None and resume < depth:
                 return resume

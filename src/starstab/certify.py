@@ -113,7 +113,7 @@ def _connected_reps(e: int, cap: int) -> tuple[Graph, ...]:
             rows[v] |= 1 << u
             if _new_edge_is_largest(rows, u, v):
                 g = Graph(len(rows), tuple(rows))
-                seen.setdefault(canonical_form(g).code, g)
+                seen.setdefault(canonical_form(g), g)
     return tuple(g for _, g in sorted(seen.items()))
 
 
@@ -148,9 +148,8 @@ def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
     padded = []
     for g in graphs_of_order_and_size(max_vertices, e):
         core = induced_delete(g, [v for v in range(g.n) if not g.rows[v]])
-        padded.append(pad(decode_graph6(canonical_form(core).code), max_vertices))
-    for _, g in sorted((canonical_form(g).code, g) for g in padded):
-        yield g
+        padded.append(pad(decode_graph6(canonical_form(core)), max_vertices))
+    yield from sorted(padded, key=canonical_form)
 
 
 def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
@@ -196,8 +195,8 @@ def certify(r: int, k: int) -> Certificate:
 
     start = time.perf_counter()
     below = [stable(g) for g in graphs_of_order_and_size(n, value - 1)]
-    found = sorted(canonical_form(g).code for g in graphs_of_order_and_size(n, value) if stable(g))
-    expected = sorted(canonical_form(h).code for h in extremal_family(r, k))
+    found = sorted(canonical_form(g) for g in graphs_of_order_and_size(n, value) if stable(g))
+    expected = sorted(canonical_form(h) for h in extremal_family(r, k))
     from .certificate import SCHEMA_VERSION, Certificate
     return Certificate(
         schema_version=SCHEMA_VERSION,

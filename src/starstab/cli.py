@@ -78,7 +78,7 @@ def _cmd_stab(args) -> int:
         "value": result.value,
         "k0": result.case.k0,
         "k1": result.case.k1,
-        "extremal": [canonical_form(g).code for g in extremal_family(args.r, args.k)],
+        "extremal": [canonical_form(g) for g in extremal_family(args.r, args.k)],
     })
     return 0
 
@@ -111,12 +111,11 @@ def _cmd_certify(args) -> int:
 def _cmd_recover(args) -> int:
     instance = star_instance(args.r, args.k)
     faults = _parse_ints(args.faults, "faults must be comma-separated labels")
-    embedding = recovery_embedding(instance, faults)
     _emit({
         "r": args.r,
         "k": args.k,
         "faults": sorted(set(faults)),
-        "mapping": [list(pair) for pair in embedding.pairs],
+        "mapping": [list(pair) for pair in recovery_embedding(instance, faults)],
     })
     return 0
 

@@ -24,7 +24,6 @@ from .graph import (Graph, _check_rk, _check_vertex_budget, _Value, complete, co
                     from_edges, star)
 
 __all__ = [
-    "Embedding",
     "IsolatedPatternWarning",
     "LabeledInstance",
     "Labelling",
@@ -60,9 +59,6 @@ class Labelling(_Value):
     def identity(cls, n: int) -> "Labelling":
         return cls(tuple(range(1, n + 1)))
 
-    def label_of(self, vertex: int) -> int:
-        return self.labels[vertex]
-
 
 class LabeledInstance(NamedTuple):
     """A constructed fault-tolerant graph together with its provenance."""
@@ -71,22 +67,6 @@ class LabeledInstance(NamedTuple):
     k: int
     labelling: Labelling
     result: Graph
-
-
-class Embedding(_Value):
-    """Injective edge-preserving map of pattern labels into surviving labels."""
-
-    __slots__ = __match_args__ = ("pairs",)
-    pairs: tuple[tuple[int, int], ...]
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "pairs", pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def __getitem__(self, label: int) -> int:
-        return self.as_dict()[label]
 
 
 def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstance:
@@ -112,7 +92,7 @@ def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstan
         )
     edges = []
     for u, v in pattern.edges():
-        i, j = labelling.label_of(u), labelling.label_of(v)
+        i, j = labelling.labels[u], labelling.labels[v]
         for a in range(i, i + k + 1):
             for b in range(j, j + k + 1):
                 if a != b:
@@ -128,8 +108,10 @@ def star_stable(r: int, k: int) -> Graph:
     return conjunction(complete(k + 1), empty(r))
 
 
-def recovery_embedding(instance: LabeledInstance, faults: Iterable[int]) -> Embedding:
-    """Greedy re-embedding of the pattern after deleting ``faults`` (labels).
+def recovery_embedding(instance: LabeledInstance,
+                       faults: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Greedy re-embedding of the pattern after deleting ``faults`` (labels):
+    the injective, edge-preserving (pattern label, surviving label) pairs.
 
     Pattern labels are processed in increasing order; each receives the
     smallest surviving result label not yet assigned. With f <= k faults the
@@ -147,7 +129,7 @@ def recovery_embedding(instance: LabeledInstance, faults: Iterable[int]) -> Embe
     survivors = [l for l in all_labels if l not in fset]
     pairs = tuple((i + 1, survivors[i]) for i in range(n))
     _validate_embedding(instance, fset, pairs)
-    return Embedding(pairs)
+    return pairs
 
 
 def _validate_embedding(
@@ -164,12 +146,12 @@ def _validate_embedding(
         if not src <= dst <= src + nfaults <= src + instance.k or dst in faults:
             raise InvalidParameterError(
                 f"image of label {src} is {dst}, not a surviving label within the shift bound")
-    label = instance.labelling.label_of
+    labels = instance.labelling.labels
     for u, v in instance.pattern.edges():
-        a, b = psi[label(u)], psi[label(v)]
+        a, b = psi[labels[u]], psi[labels[v]]
         if not instance.result.adjacent(a - 1, b - 1):
             raise InvalidParameterError(
-                f"pattern edge with labels ({label(u)}, {label(v)}) lost under the embedding")
+                f"pattern edge with labels ({labels[u]}, {labels[v]}) lost under the embedding")
 
 
 def star_instance(r: int, k: int) -> LabeledInstance:

@@ -111,12 +111,12 @@ def test_criterion_4_recovery_embedding_correctness():
                 g = instance.result
                 labels = range(1, g.n + 1)
                 pattern_edges = [
-                    (instance.labelling.label_of(u), instance.labelling.label_of(v))
+                    (instance.labelling.labels[u], instance.labelling.labels[v])
                     for u, v in instance.pattern.edges()
                 ]
                 for size in range(0, k + 1):
                     for faults in combinations(labels, size):
-                        mapping = recovery_embedding(instance, faults).as_dict()
+                        mapping = dict(recovery_embedding(instance, faults))
                         images = list(mapping.values())
                         assert len(set(images)) == len(images)
                         assert not set(images) & set(faults)
@@ -170,9 +170,9 @@ def test_criterion_6_certification_grid():
             assert cert.extremal_found == cert.extremal_expected
         # the unique extremal classes beyond the boundary are pinned exactly
         assert certify(4, 9).extremal_found == (
-            canonical_form(near_complete_regular(14)).code,)
+            canonical_form(near_complete_regular(14)),)
         assert certify(4, 10).extremal_found == (
-            canonical_form(conjunction(near_complete_regular(14), complete(1))).code,)
+            canonical_form(conjunction(near_complete_regular(14), complete(1))),)
 
 
 def test_criterion_7_oracle_equivalences():
@@ -190,9 +190,9 @@ def test_criterion_7_oracle_equivalences():
             by_size = {}
             for mask in range(1 << len(pairs)):
                 g = from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-                by_size.setdefault(g.size, set()).add(canonical_form(g).code)
+                by_size.setdefault(g.size, set()).add(canonical_form(g))
             for m in range(comb(n, 2) + 1):
-                produced = {canonical_form(g).code for g in graphs_of_order_and_size(n, m)}
+                produced = {canonical_form(g) for g in graphs_of_order_and_size(n, m)}
                 assert produced == by_size.get(m, set())
 
 

@@ -14,6 +14,7 @@ from starstab import (
     graphs_of_order_and_size,
     is_isomorphic,
     near_complete_regular,
+    pad,
     permute,
     stab_value,
     star,
@@ -110,7 +111,7 @@ class TestCanonicalForm:
         rng = random.Random(23)
         for _ in range(20):
             g = random_graph(rng, rng.randrange(0, 9))
-            back = decode_graph6(canonical_form(g).code)
+            back = decode_graph6(canonical_form(g))
             assert (back.n, back.size) == (g.n, g.size)
             assert brute_isomorphic(back, g)
 
@@ -125,7 +126,7 @@ class TestCanonicalForm:
         for n, expected in [(3, 4), (4, 11)]:
             by_code = {}
             for g in all_labeled_graphs(n):
-                by_code.setdefault(canonical_form(g).code, []).append(g)
+                by_code.setdefault(canonical_form(g), []).append(g)
             assert len(by_code) == expected
             for bucket in by_code.values():
                 rep = bucket[0]
@@ -135,11 +136,11 @@ class TestCanonicalForm:
                 assert not brute_isomorphic(a, b)
 
     def test_five_vertex_class_count(self):
-        codes = {canonical_form(g).code for g in all_labeled_graphs(5)}
+        codes = {canonical_form(g) for g in all_labeled_graphs(5)}
         assert len(codes) == 34
 
     def test_codes_of_all_five_vertex_graphs_are_pinned(self):
-        codes = "\n".join(canonical_form(g).code for g in all_labeled_graphs(5))
+        codes = "\n".join(canonical_form(g) for g in all_labeled_graphs(5))
         assert hashlib.sha256(codes.encode()).hexdigest() == (
             "d5d8c78981906467fd9c082f3a5d7779d56af4581083fa2cb1f7fb20908219ab")
 
@@ -153,7 +154,7 @@ class TestCanonicalForm:
             (5, 2): ["G~zfF?"],
         }
         for (r, k), codes in pinned.items():
-            assert [canonical_form(h).code for h in extremal_family(r, k)] == codes
+            assert [canonical_form(h) for h in extremal_family(r, k)] == codes
 
     def test_highly_symmetric_graphs(self):
         for g in [complete(14), empty(14), near_complete_regular(14),
@@ -174,8 +175,8 @@ class TestAgainstUnprunedSearch:
             order = list(range(g.n))
             rng.shuffle(order)
             expected = reference_code(g)
-            assert canonical_form(g).code == expected
-            assert canonical_form(permute(g, order)).code == expected
+            assert canonical_form(g) == expected
+            assert canonical_form(permute(g, order)) == expected
 
     def test_certify_census_classes(self):
         for r, k in [(5, 1), (5, 2)]:
@@ -201,6 +202,31 @@ class TestAgainstUnprunedSearch:
         # prune that skips past the deepest shared node loses the least key
         self.assert_codes_agree([cycle(n) for n in range(4, 11)]
                                 + [k33, cube, petersen, conjunction(cycle(5), k33)])
+
+    def test_padded_graphs(self):
+        # the isolated vertices are one cell of false twins
+        rng = random.Random(41)
+        self.assert_codes_agree(pad(random_graph(rng, rng.randrange(0, 9), rng.random()),
+                                    rng.randrange(9, 40))
+                                for _ in range(60))
+
+    def test_twin_blow_ups(self):
+        # every vertex of a small graph becomes a clique (true twins) or an
+        # independent set (false twins) of up to 5 vertices
+        rng = random.Random(43)
+        graphs = [star_stable(8, 40)]
+        for _ in range(60):
+            base = random_graph(rng, rng.randrange(1, 6), rng.random())
+            blocks, start = [], 0
+            for _ in range(base.n):
+                size = rng.randrange(1, 6)
+                blocks.append((range(start, start + size), rng.random() < 0.5))
+                start += size
+            edges = [(a, b) for u, v in base.edges() for a in blocks[u][0] for b in blocks[v][0]]
+            edges += [(a, b) for block, clique in blocks if clique
+                      for a in block for b in block if a < b]
+            graphs.append(from_edges(start, edges))
+        self.assert_codes_agree(graphs)
 
 
 class TestIsIsomorphic:
@@ -233,7 +259,7 @@ class TestIsIsomorphic:
     def test_agrees_with_brute_force_on_all_small_pairs(self):
         classes = {}
         for g in all_labeled_graphs(4):
-            classes.setdefault(canonical_form(g).code, g)
+            classes.setdefault(canonical_form(g), g)
         reps = list(classes.values())
         for a in reps:
             for b in reps:

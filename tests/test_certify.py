@@ -82,7 +82,7 @@ def connected_class_count(e):
                 continue
             g = from_edges(n, chosen)
             if is_connected(g):
-                codes.add(canonical_form(g).code)
+                codes.add(canonical_form(g))
     return len(codes)
 
 
@@ -129,7 +129,7 @@ def reference_edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
     seen: dict[str, None] = {}
     for h in parents:
         for candidate in _extensions(h, cap):
-            seen.setdefault(canonical_form(candidate).code, None)
+            seen.setdefault(canonical_form(candidate), None)
     return tuple(decode_graph6(code) for code in sorted(seen))
 
 
@@ -162,17 +162,17 @@ class TestEnumerateByEdges:
         assert classes[0].n == 5 and classes[0].size == 0
 
     def test_three_edges_four_vertices(self):
-        got = {canonical_form(g).code for g in enumerate_graphs_by_edges(3, 4)}
+        got = {canonical_form(g) for g in enumerate_graphs_by_edges(3, 4)}
         triangle = pad(from_edges(3, [(0, 1), (1, 2), (0, 2)]), 4)
         p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
         claw = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert got == {canonical_form(g).code for g in (triangle, p4, claw)}
+        assert got == {canonical_form(g) for g in (triangle, p4, claw)}
 
     @pytest.mark.parametrize("e", range(1, 7))
     def test_matches_component_decomposition_oracle(self, e):
         produced = list(enumerate_graphs_by_edges(e, min(2 * e, 16)))
         assert len(produced) == class_count_by_decomposition(e)
-        codes = [canonical_form(g).code for g in produced]
+        codes = [canonical_form(g) for g in produced]
         assert len(set(codes)) == len(codes)
         assert all(g.size == e for g in produced)
 
@@ -207,9 +207,9 @@ class TestEnumerateByEdges:
         assert totals[8] == 497
 
     def test_deterministic_sorted_order(self):
-        codes = [canonical_form(g).code for g in enumerate_graphs_by_edges(4, 8)]
+        codes = [canonical_form(g) for g in enumerate_graphs_by_edges(4, 8)]
         assert codes == sorted(codes)
-        assert codes == [canonical_form(g).code for g in enumerate_graphs_by_edges(4, 8)]
+        assert codes == [canonical_form(g) for g in enumerate_graphs_by_edges(4, 8)]
 
     def test_support_budget_excludes_wide_graphs(self):
         # with 3 edges only the triangle fits in 3 vertices
@@ -231,15 +231,15 @@ class TestCensusLevels:
     @pytest.mark.parametrize("e, cap", GRID_LEVELS)
     def test_same_classes_as_reference(self, e, cap):
         reps = _edge_class_reps(e, cap)
-        codes = [canonical_form(g).code for g in reps]
+        codes = [canonical_form(g) for g in reps]
         assert len(set(codes)) == len(codes)
-        assert set(codes) == {canonical_form(g).code for g in reference_edge_class_reps(e, cap)}
+        assert set(codes) == {canonical_form(g) for g in reference_edge_class_reps(e, cap)}
         assert all(g.size == e and g.n <= cap and all(g.rows) for g in reps)
 
     def test_connected_level_counts_match_oeis_a002905(self):
         for e, count in enumerate([1, 1, 3, 5, 12, 30, 79, 227], start=1):
             reps = _connected_reps(e, e + 1)
-            assert len({canonical_form(g).code for g in reps}) == len(reps) == count
+            assert len({canonical_form(g) for g in reps}) == len(reps) == count
             assert all(g.size == e and is_connected(g) for g in reps)
 
 
@@ -250,8 +250,8 @@ class TestGraphsOfOrderAndSize:
         assert classes[0] == complete(4)
 
     def test_contains_the_join_construction(self):
-        codes = {canonical_form(g).code for g in graphs_of_order_and_size(5, 7)}
-        assert canonical_form(star_stable(3, 1)).code in codes
+        codes = {canonical_form(g) for g in graphs_of_order_and_size(5, 7)}
+        assert canonical_form(star_stable(3, 1)) in codes
 
     def test_dense_census_count_matches_sparse_level(self):
         assert sum(1 for _ in graphs_of_order_and_size(12, 60)) == 68
@@ -260,10 +260,10 @@ class TestGraphsOfOrderAndSize:
     def test_complete_census_small_orders(self, n):
         by_size = {}
         for g in all_labeled_graphs(n):
-            by_size.setdefault(g.size, set()).add(canonical_form(g).code)
+            by_size.setdefault(g.size, set()).add(canonical_form(g))
         for m in range(comb(n, 2) + 1):
             produced = list(graphs_of_order_and_size(n, m))
-            codes = {canonical_form(g).code for g in produced}
+            codes = {canonical_form(g) for g in produced}
             assert len(codes) == len(produced)
             assert codes == by_size.get(m, set())
             assert all(g.n == n and g.size == m for g in produced)
@@ -343,7 +343,7 @@ class TestCertify:
         assert cert.minimality_ok
         assert cert.candidates_below == 6
         assert cert.match
-        assert cert.extremal_found == (canonical_form(star_stable(3, 1)).code,)
+        assert cert.extremal_found == (canonical_form(star_stable(3, 1)),)
         assert cert.extremal_found == cert.extremal_expected
 
     def test_zero_budget_instance(self):

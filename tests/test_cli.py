@@ -326,6 +326,15 @@ class TestEnumerate:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "6606479a2b783044aa3b0c81d866a2e0ba05c45a613af1d1837728a955d428e5")
 
+    def test_census_at_the_canonical_order_cap_is_pinned_and_fast(self):
+        # each class is padded by up to 46 isolated vertices, one cell of
+        # mutual twins that the canonical search splits in one step
+        proc = run_cli_subprocess("enumerate", "--edges", "8", "--max-vertices", "62",
+                                  timeout=3)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "6783dbc2afdfcbf10bf99434e508cce70e4949c0fc9e146af6d6906a62eb6816")
+
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:

@@ -12,7 +12,6 @@ import pytest
 import starstab
 from starstab import (
     CapacityExceededError,
-    Embedding,
     InvalidParameterError,
     IsolatedPatternWarning,
     Labelling,
@@ -90,7 +89,7 @@ class TestBchConstruct:
                 instance = bch_construct(pattern, k, labelling)
             assert instance.result.n == n + k
             for u, v in pattern.edges():
-                i, j = labelling.label_of(u), labelling.label_of(v)
+                i, j = labelling.labels[u], labelling.labels[v]
                 for a in range(i, i + k + 1):
                     for b in range(j, j + k + 1):
                         if a != b:
@@ -158,7 +157,7 @@ class TestRecoveryEmbedding:
     def test_center_fault_shifts_everything(self):
         instance = star_instance(3, 1)
         embedding = recovery_embedding(instance, [1])
-        assert embedding.pairs == ((1, 2), (2, 3), (3, 4), (4, 5))
+        assert embedding == ((1, 2), (2, 3), (3, 4), (4, 5))
         # the re-embedded star edges all survive
         g = instance.result
         for leaf in (3, 4, 5):
@@ -167,12 +166,12 @@ class TestRecoveryEmbedding:
     def test_no_faults_identity(self):
         instance = star_instance(4, 2)
         embedding = recovery_embedding(instance, [])
-        assert all(src == dst for src, dst in embedding.pairs)
+        assert all(src == dst for src, dst in embedding)
 
     def test_worked_example_spare_faults(self):
         instance = bch_construct(WORKED_PATTERN, 2, Labelling((1, 2, 3, 4)))
         embedding = recovery_embedding(instance, [5, 6])
-        assert embedding.pairs == ((1, 1), (2, 2), (3, 3), (4, 4))
+        assert embedding == ((1, 1), (2, 2), (3, 3), (4, 4))
 
     def test_too_many_faults(self):
         instance = star_instance(3, 1)
@@ -190,17 +189,10 @@ class TestRecoveryEmbedding:
         for size in range(0, 3):
             for faults in combinations(range(1, n_total + 1), size):
                 embedding = recovery_embedding(instance, faults)
-                images = [dst for _, dst in embedding.pairs]
+                images = [dst for _, dst in embedding]
                 assert len(set(images)) == len(images)
-                for src, dst in embedding.pairs:
+                for src, dst in embedding:
                     assert src <= dst <= src + size
-
-    def test_as_dict_and_getitem(self):
-        embedding = Embedding(((1, 2), (2, 3)))
-        assert embedding.as_dict() == {1: 2, 2: 3}
-        assert embedding[2] == 3
-        with pytest.raises(KeyError):
-            embedding[9]
 
     def test_lost_pattern_edge_refused_under_optimize_flag(self):
         # python -O strips assert statements; the embedding check must still run.

@@ -11,7 +11,6 @@ import pytest
 import starstab
 from starstab import (
     CapacityExceededError,
-    Embedding,
     Graph,
     Graph6ParseError,
     InvalidParameterError,
@@ -76,8 +75,6 @@ class TestGraphType:
 VALUES = [
     (Graph, (2, (2, 1)), "Graph(n=2, rows=(2, 1))", "rows", (2, (0, 0))),
     (Labelling, ((2, 1, 3),), "Labelling(labels=(2, 1, 3))", "labels", ((1, 2, 3),)),
-    (Embedding, (((1, 2), (2, 3)),), "Embedding(pairs=((1, 2), (2, 3)))", "pairs",
-     (((1, 2), (2, 4)),)),
 ]
 
 
@@ -106,7 +103,7 @@ class TestValueSemantics:
         match cls(*args):
             case Graph(n, rows):
                 fields = (n, rows)
-            case Labelling(labels) | Embedding(labels):
+            case Labelling(labels):
                 fields = (labels,)
             case _:
                 fields = None

@@ -1,12 +1,16 @@
+from math import comb
+
 import pytest
 
 from starstab import (
     CapacityExceededError,
     InvalidParameterError,
     canonical_form,
+    complement,
     conjunction,
     complete,
     extremal_family,
+    graphs_of_order_and_size,
     is_isomorphic,
     is_star_stable,
     k0,
@@ -168,7 +172,7 @@ class TestExtremalFamily:
                     continue
                 value = stab_value(r, k)
                 family = extremal_family(r, k)
-                codes = {canonical_form(g).code for g in family}
+                codes = {canonical_form(g) for g in family}
                 assert len(codes) == len(family)
                 for g in family:
                     assert g.n == r + k + 1
@@ -178,3 +182,92 @@ class TestExtremalFamily:
     def test_capacity(self):
         with pytest.raises(CapacityExceededError):
             extremal_family(4, 60)
+
+
+def complement_component_orders(g):
+    """Orders of the components of g's complement with at least 2 vertices,
+    largest first."""
+    h = complement(g).rows
+    left, orders = (1 << g.n) - 1, []
+    while left:
+        seen = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                reach |= h[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
+            frontier = reach & ~seen
+            seen |= frontier
+        left &= ~seen
+        if seen.bit_count() > 1:
+            orders.append(seen.bit_count())
+    return tuple(sorted(orders, reverse=True))
+
+
+def stable_by_complement_rule(g, r):
+    """At order r+k+1, deleting k vertices leaves r+1 of them, and G is
+    unstable iff some r+1 vertices induce no isolated vertex in G's complement.
+    A complement component of s >= 2 vertices supplies any count in {0} and
+    [2, s], so G is stable iff its floor((r+1)/2) largest such components hold
+    at most r vertices in all."""
+    return sum(complement_component_orders(g)[:(r + 1) // 2]) <= r
+
+
+def densest_complement_cliques(r, n):
+    """Oracle for the theorem: the largest sum of C(s_i, 2) over multisets of
+    clique orders s_i >= 2 on at most n vertices whose floor((r+1)/2) largest
+    hold at most r vertices, with every multiset that attains it.
+
+    Parts come in non-increasing order, and the first floor((r+1)/2) of them
+    share a budget of r vertices. A branch is cut when even filling the
+    vertices left with parts of the largest order allowed, a convex bound,
+    falls short of the best sum found."""
+    head = (r + 1) // 2
+    best, optima = -1, []
+
+    def search(parts, total, left, cap, budget):
+        nonlocal best, optima
+        if total > best:
+            best, optima = total, []
+        if total == best:
+            optima.append(tuple(parts))
+        c = min(cap, left, budget)
+        if c < 2 or total + (left // c) * comb(c, 2) + comb(left % c, 2) < best:
+            return
+        for s in range(c, 1, -1):
+            parts.append(s)
+            search(parts, total + comb(s, 2), left - s, s,
+                   budget - s if len(parts) < head else s)
+            parts.pop()
+
+    search([], 0, n, n, r)
+    return best, optima
+
+
+class TestTheoremOracle:
+    def test_value_and_extremal_family_at_every_order(self):
+        pairs = 0
+        for n in range(4, 63):
+            for r in range(3, n):
+                k = n - r - 1
+                best, optima = densest_complement_cliques(r, n)
+                assert stab_value(r, k) == comb(n, 2) - best, (r, k)
+                family = extremal_family(r, k)
+                # the complement of each extremal graph is a union of cliques
+                orders = [complement_component_orders(g) for g in family]
+                assert all(sum(map(comb, o, [2] * len(o))) == comb(n, 2) - g.size
+                           for o, g in zip(orders, family))
+                assert sorted(orders) == sorted(optima), (r, k)
+                pairs += 1
+        assert pairs == 1770
+
+    def test_complement_rule_matches_the_decider(self):
+        decisions = 0
+        for n in range(4, 9):
+            for m in range(comb(n, 2) + 1):
+                for g in graphs_of_order_and_size(n, m):
+                    for r in range(3, n):
+                        assert stable_by_complement_rule(g, r) == \
+                            is_star_stable(g, r, n - r - 1).stable, (g, r)
+                        decisions += 1
+        assert decisions == 66453
