@@ -7,12 +7,11 @@ graphs, and certify minimality and extremal uniqueness by complete
 isomorph-free enumeration at desk scale.
 """
 
-from .canon import canonical_form, is_isomorphic
+from .canon import canonical_form
 from .certify import certify, enumerate_graphs_by_edges, graphs_of_order_and_size
 from .construct import (
     IsolatedPatternWarning,
     LabeledInstance,
-    Labelling,
     bch_construct,
     recovery_embedding,
     star_stable,
@@ -66,7 +65,6 @@ __all__ = [
     "InvalidParameterError",
     "IsolatedPatternWarning",
     "LabeledInstance",
-    "Labelling",
     "SchemaMismatchError",
     "StabCase",
     "StabResult",
@@ -88,7 +86,6 @@ __all__ = [
     "from_edges",
     "graphs_of_order_and_size",
     "induced_delete",
-    "is_isomorphic",
     "is_stable_general",
     "is_star_stable",
     "k0",

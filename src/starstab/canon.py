@@ -1,4 +1,5 @@
-"""Canonical forms and isomorphism tests for desk-scale graphs.
+"""Canonical forms of desk-scale graphs: two graphs are isomorphic iff their
+canonical forms are equal.
 
 The search refines an ordered partition by iterated neighbour counts, then
 backtracks over the first non-singleton cell, individualizing one vertex per
@@ -46,12 +47,6 @@ def canonical_form(g: Graph) -> str:
         comp_rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows))
         return _graph6_text(n, _min_key(comp_rows) ^ ((1 << npairs) - 1))
     return _graph6_text(n, _min_key(g.rows))
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    return canonical_form(g1) == canonical_form(g2)
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .canon import canonical_form
 from .certify import certify, enumerate_graphs_by_edges
-from .construct import Labelling, bch_construct, recovery_embedding, star_instance
+from .construct import bch_construct, recovery_embedding, star_instance
 from .errors import StarstabError
 from .graph import Graph, decode_graph6, encode_graph6, export_dot, star
 from .stability import is_stable_general, is_star_stable
@@ -44,9 +44,9 @@ def _cmd_construct(args) -> int:
     else:
         pattern = star(args.r)
     labelling = (
-        Labelling(_parse_ints(args.labelling, "labelling must be comma-separated integers"))
+        _parse_ints(args.labelling, "labelling must be comma-separated integers")
         if args.labelling is not None
-        else Labelling.identity(pattern.n)
+        else tuple(range(1, pattern.n + 1))
     )
     instance = bch_construct(pattern, args.k, labelling)
     print(encode_graph6(instance.result))
@@ -84,14 +84,15 @@ def _cmd_stab(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    result = stab_result(args.r, args.k)
+    # Every graph is encoded before the directory is made, so a refused call
+    # leaves nothing behind.
+    texts = [encode_graph6(g) for g in extremal_family(args.r, args.k)]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = stab_result(args.r, args.k)
-    for idx, (descriptor, g) in enumerate(
-        zip(result.extremal_descriptors, extremal_family(args.r, args.k))
-    ):
+    for idx, (descriptor, text) in enumerate(zip(result.extremal_descriptors, texts)):
         path = outdir / f"extremal_r{args.r}_k{args.k}_{idx}_{descriptor.lower()}.g6"
-        path.write_text(encode_graph6(g) + "\n")
+        path.write_text(text + "\n")
         print(path)
     return 0
 

@@ -1,8 +1,9 @@
 """Bruck-Cypher-Ho spare-vertex construction and constructive fault recovery.
 
-Given a pattern graph H on n vertices labelled bijectively with 1..n and a
-fault budget k, the construction appends k spare vertices labelled n+1..n+k
-and, for every pattern edge with labels i and j, inserts all edges between the
+Given a pattern graph H on n vertices, a fault budget k and a labelling, the
+tuple of labels whose entry v is the label of pattern vertex v (a bijection
+onto 1..n), the construction appends k spare vertices labelled n+1..n+k and,
+for every pattern edge with labels i and j, inserts all edges between the
 label intervals {i..i+k} and {j..j+k}. The result tolerates any k vertex
 faults: relabelling survivors greedily by smallest free label re-embeds H.
 
@@ -20,13 +21,12 @@ import warnings
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
-from .graph import (Graph, _check_rk, _check_vertex_budget, _Value, complete, conjunction, empty,
+from .graph import (Graph, _check_rk, _check_vertex_budget, complete, conjunction, empty,
                     from_edges, star)
 
 __all__ = [
     "IsolatedPatternWarning",
     "LabeledInstance",
-    "Labelling",
     "bch_construct",
     "recovery_embedding",
     "star_instance",
@@ -39,37 +39,16 @@ class IsolatedPatternWarning(UserWarning):
     stability-preservation arguments that assume none do not apply."""
 
 
-class Labelling(_Value):
-    """Bijection from pattern vertex indices 0..n-1 to labels {1..n}.
-
-    ``labels[v]`` is the label of pattern vertex v.
-    """
-
-    __slots__ = __match_args__ = ("labels",)
-    labels: tuple[int, ...]
-
-    def __init__(self, labels: tuple[int, ...]) -> None:
-        n = len(labels)
-        if sorted(labels) != list(range(1, n + 1)):
-            raise InvalidParameterError(
-                f"labelling must be a bijection onto 1..{n}, got {labels}")
-        object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def identity(cls, n: int) -> "Labelling":
-        return cls(tuple(range(1, n + 1)))
-
-
 class LabeledInstance(NamedTuple):
     """A constructed fault-tolerant graph together with its provenance."""
 
     pattern: Graph
     k: int
-    labelling: Labelling
+    labelling: tuple[int, ...]
     result: Graph
 
 
-def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstance:
+def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledInstance:
     """Expand the pattern with k spare vertices under the given labelling.
 
     The result graph lives on labels 1..n+k (vertex index = label - 1) and its
@@ -79,9 +58,9 @@ def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstan
     if k < 0:
         raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
     n = pattern.n
-    if len(labelling.labels) != n:
-        raise InvalidParameterError(
-            f"labelling covers {len(labelling.labels)} vertices, pattern has {n}")
+    labelling = tuple(labelling)
+    if sorted(labelling) != list(range(1, n + 1)):
+        raise InvalidParameterError(f"labelling must be a bijection onto 1..{n}, got {labelling}")
     _check_vertex_budget(n + k)
     if any(not pattern.rows[v] for v in range(n)):
         warnings.warn(
@@ -92,7 +71,7 @@ def bch_construct(pattern: Graph, k: int, labelling: Labelling) -> LabeledInstan
         )
     edges = []
     for u, v in pattern.edges():
-        i, j = labelling.labels[u], labelling.labels[v]
+        i, j = labelling[u], labelling[v]
         for a in range(i, i + k + 1):
             for b in range(j, j + k + 1):
                 if a != b:
@@ -146,7 +125,7 @@ def _validate_embedding(
         if not src <= dst <= src + nfaults <= src + instance.k or dst in faults:
             raise InvalidParameterError(
                 f"image of label {src} is {dst}, not a surviving label within the shift bound")
-    labels = instance.labelling.labels
+    labels = instance.labelling
     for u, v in instance.pattern.edges():
         a, b = psi[labels[u]], psi[labels[v]]
         if not instance.result.adjacent(a - 1, b - 1):
@@ -156,4 +135,4 @@ def _validate_embedding(
 
 def star_instance(r: int, k: int) -> LabeledInstance:
     """Constructed star instance: the center at label 1, leaves at 2..r+1."""
-    return bch_construct(star(r), k, Labelling.identity(r + 1))
+    return bch_construct(star(r), k, tuple(range(1, r + 2)))

@@ -22,52 +22,21 @@ MAX_ORDER = 64
 GRAPH6_MAX_ORDER = 62
 
 
-class _Value:
-    """Value semantics for a ``__slots__`` class whose ``__init__`` validates
-    its fields, named in ``__match_args__``, and sets them with
-    ``object.__setattr__``: equality and hash by field values, a
-    constructor-style repr, positional ``match`` patterns, and no assignment
-    afterwards.
+class Graph:
+    """Immutable loop-free symmetric adjacency over vertices 0..n-1.
+
+    A value: equality and hash by ``(n, rows)``, a constructor-style repr,
+    positional ``match`` patterns, and no assignment after construction.
     """
-
-    __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class Graph(_Value):
-    """Immutable loop-free symmetric adjacency over vertices 0..n-1."""
 
     __slots__ = __match_args__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
     def __init__(self, n: int, rows: tuple[int, ...]) -> None:
-        if not 0 <= n <= MAX_ORDER:
-            raise InvalidParameterError(f"order must be in 0..{MAX_ORDER}, got {n}")
+        if n < 0:
+            raise InvalidParameterError(f"order must be >= 0, got {n}")
+        _check_vertex_budget(n)
         if len(rows) != n:
             raise InvalidParameterError("adjacency row count does not match order")
         full = (1 << n) - 1
@@ -85,6 +54,26 @@ class Graph(_Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.rows) == (other.n, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, rows={self.rows!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.rows)
+
     @property
     def size(self) -> int:
         """Number of edges."""
@@ -98,9 +87,6 @@ class Graph(_Value):
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.rows)
-
-    def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.rows), default=0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, in lexicographic order."""

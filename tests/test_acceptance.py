@@ -13,7 +13,6 @@ from math import comb
 
 from starstab import (
     IsolatedPatternWarning,
-    Labelling,
     bch_construct,
     canonical_form,
     certify,
@@ -24,7 +23,6 @@ from starstab import (
     encode_graph6,
     from_edges,
     graphs_of_order_and_size,
-    is_isomorphic,
     is_stable_general,
     is_star_stable,
     near_complete_regular,
@@ -52,7 +50,7 @@ def random_graph(rng, n, p=0.5):
 def random_labelling(rng, n):
     labels = list(range(1, n + 1))
     rng.shuffle(labels)
-    return Labelling(tuple(labels))
+    return tuple(labels)
 
 
 def all_order6_classes():
@@ -63,8 +61,8 @@ def all_order6_classes():
 def test_criterion_1_worked_example_reproduction():
     with budget("1 worked-example reproduction", 1):
         pattern = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
-        first = bch_construct(pattern, 2, Labelling((3, 4, 1, 2))).result
-        second = bch_construct(pattern, 2, Labelling((1, 2, 3, 4))).result
+        first = bch_construct(pattern, 2, (3, 4, 1, 2)).result
+        second = bch_construct(pattern, 2, (1, 2, 3, 4)).result
         assert sorted((u + 1, v + 1) for u, v in first.edges()) == [
             (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
             (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
@@ -72,7 +70,7 @@ def test_criterion_1_worked_example_reproduction():
         assert first.size == 13
         assert second == complete(6)
         assert second.size == 15
-        assert not is_isomorphic(first, second)
+        assert canonical_form(first) != canonical_form(second)
 
 
 def test_criterion_2_star_construction_uniqueness_suite():
@@ -111,7 +109,7 @@ def test_criterion_4_recovery_embedding_correctness():
                 g = instance.result
                 labels = range(1, g.n + 1)
                 pattern_edges = [
-                    (instance.labelling.labels[u], instance.labelling.labels[v])
+                    (instance.labelling[u], instance.labelling[v])
                     for u, v in instance.pattern.edges()
                 ]
                 for size in range(0, k + 1):
@@ -143,11 +141,11 @@ def test_criterion_5_regular_graph_parity_and_uniqueness():
         total = 0
         for g in all_order6_classes():
             total += 1
-            if g.max_degree() < 5 and is_star_stable(g, 4, 1).stable:
+            if max(g.degrees(), default=0) < 5 and is_star_stable(g, 4, 1).stable:
                 low_degree_stable.append(g)
         assert total == 156
         assert len(low_degree_stable) == 1
-        assert is_isomorphic(low_degree_stable[0], near_complete_regular(6))
+        assert canonical_form(low_degree_stable[0]) == canonical_form(near_complete_regular(6))
 
 
 def test_criterion_6_certification_grid():

@@ -3,7 +3,6 @@ import random
 from itertools import combinations, permutations
 
 from starstab import (
-    Labelling,
     bch_construct,
     canonical_form,
     complete,
@@ -12,7 +11,6 @@ from starstab import (
     extremal_family,
     from_edges,
     graphs_of_order_and_size,
-    is_isomorphic,
     near_complete_regular,
     pad,
     permute,
@@ -117,7 +115,7 @@ class TestCanonicalForm:
 
     def test_separates_worked_example_from_complete_graph(self):
         pattern = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
-        g1 = bch_construct(pattern, 2, Labelling((3, 4, 1, 2))).result
+        g1 = bch_construct(pattern, 2, (3, 4, 1, 2)).result
         assert canonical_form(g1) != canonical_form(complete(6))
 
     def test_class_counts_match_brute_force_partition(self):
@@ -231,7 +229,7 @@ class TestAgainstUnprunedSearch:
 
 class TestIsIsomorphic:
     def test_join_with_nothing(self):
-        assert is_isomorphic(complete(6), conjunction(complete(6), empty(0)))
+        assert canonical_form(complete(6)) == canonical_form(conjunction(complete(6), empty(0)))
 
     def test_star_construction_label_independent(self):
         rng = random.Random(5)
@@ -239,22 +237,22 @@ class TestIsIsomorphic:
         for _ in range(10):
             labels = list(range(1, 6))
             rng.shuffle(labels)
-            built = bch_construct(star(4), 2, Labelling(tuple(labels))).result
-            assert is_isomorphic(built, base)
+            built = bch_construct(star(4), 2, tuple(labels)).result
+            assert canonical_form(built) == canonical_form(base)
 
     def test_worked_example_pair_differs(self):
         pattern = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
-        g1 = bch_construct(pattern, 2, Labelling((3, 4, 1, 2))).result
-        g2 = bch_construct(pattern, 2, Labelling((1, 2, 3, 4))).result
-        assert not is_isomorphic(g1, g2)
+        g1 = bch_construct(pattern, 2, (3, 4, 1, 2)).result
+        g2 = bch_construct(pattern, 2, (1, 2, 3, 4)).result
+        assert canonical_form(g1) != canonical_form(g2)
 
     def test_reflexive_and_symmetric(self):
+        # equal codes are a symmetric relation by construction; a repeated
+        # call must give the same code
         rng = random.Random(29)
         for _ in range(20):
             g = random_graph(rng, rng.randrange(0, 9))
-            h = random_graph(rng, g.n)
-            assert is_isomorphic(g, g)
-            assert is_isomorphic(g, h) == is_isomorphic(h, g)
+            assert canonical_form(g) == canonical_form(g)
 
     def test_agrees_with_brute_force_on_all_small_pairs(self):
         classes = {}
@@ -263,7 +261,7 @@ class TestIsIsomorphic:
         reps = list(classes.values())
         for a in reps:
             for b in reps:
-                assert is_isomorphic(a, b) == brute_isomorphic(a, b)
+                assert (canonical_form(a) == canonical_form(b)) == brute_isomorphic(a, b)
 
     def test_agrees_with_brute_force_on_shuffled_pairs(self):
         rng = random.Random(31)
@@ -276,4 +274,4 @@ class TestIsIsomorphic:
                 h = permute(g, order)
             else:
                 h = random_graph(rng, n)
-            assert is_isomorphic(g, h) == brute_isomorphic(g, h)
+            assert (canonical_form(g) == canonical_form(h)) == brute_isomorphic(g, h)

@@ -11,10 +11,10 @@ import pytest
 
 import starstab
 from starstab import (
+    canonical_form,
     decode_graph6,
     encode_graph6,
     from_edges,
-    is_isomorphic,
     stab_value,
     star,
     star_stable,
@@ -37,7 +37,7 @@ class TestConstruct:
     def test_star_expansion_matches_library(self, capsys):
         code, out, _ = run(capsys, "construct", "--r", "4", "--k", "2")
         assert code == 0
-        assert is_isomorphic(decode_graph6(out.strip()), star_stable(4, 2))
+        assert canonical_form(decode_graph6(out.strip())) == canonical_form(star_stable(4, 2))
 
     def test_pattern_file_with_custom_labelling(self, capsys, tmp_path):
         pattern = tmp_path / "h.g6"
@@ -68,10 +68,10 @@ class TestConstruct:
         assert "error" in err
 
     def test_bad_labelling(self, capsys):
-        code, _, err = run(capsys, "construct", "--r", "3", "--k", "1",
-                           "--labelling", "1,2,3")
-        assert code == 2
-        assert "labelling" in err
+        code, out, err = run(capsys, "construct", "--r", "3", "--k", "1",
+                             "--labelling", "1,2,3")
+        assert (code, out) == (2, "")
+        assert err == "error: labelling must be a bijection onto 1..4, got (1, 2, 3)\n"
 
 
 class TestVerify:
@@ -224,6 +224,13 @@ class TestExtremal:
         assert sorted(out.split()) == [str(f) for f in files]
         sizes = {decode_graph6(f.read_text()).size for f in files}
         assert sizes == {60}
+
+    def test_refused_call_leaves_no_directory(self, capsys, tmp_path):
+        outdir = tmp_path / "fam"
+        code, out, err = run(capsys, "extremal", "--r", "3", "--k", "59", "--out", str(outdir))
+        assert (code, out) == (2, "")
+        assert err == "error: graph6 output supports order <= 62, got 63\n"
+        assert not outdir.exists()
 
 
 class TestCertify:

@@ -14,7 +14,6 @@ from starstab import (
     Graph,
     Graph6ParseError,
     InvalidParameterError,
-    Labelling,
     complement,
     complete,
     conjunction,
@@ -51,7 +50,7 @@ class TestGraphType:
             Graph(2, (4, 0))
 
     def test_rejects_order_above_cap(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(CapacityExceededError):
             Graph(65, (0,) * 65)
 
     def test_from_edges_rejects_loop_and_range(self):
@@ -74,7 +73,6 @@ class TestGraphType:
 # (type, constructor arguments, repr, a field, arguments of a different value)
 VALUES = [
     (Graph, (2, (2, 1)), "Graph(n=2, rows=(2, 1))", "rows", (2, (0, 0))),
-    (Labelling, ((2, 1, 3),), "Labelling(labels=(2, 1, 3))", "labels", ((1, 2, 3),)),
 ]
 
 
@@ -103,8 +101,6 @@ class TestValueSemantics:
         match cls(*args):
             case Graph(n, rows):
                 fields = (n, rows)
-            case Labelling(labels):
-                fields = (labels,)
             case _:
                 fields = None
         assert fields == args
@@ -123,10 +119,11 @@ class TestValueSemantics:
 def test_invalid_values_refused_under_optimize_flag():
     # python -O strips assert statements; construction must still validate.
     code = textwrap.dedent("""
-        from starstab import Graph, InvalidParameterError, Labelling
+        from starstab import Graph, InvalidParameterError, bch_construct, from_edges
 
+        path3 = from_edges(3, [(0, 1), (1, 2)])
         for make in (lambda: Graph(2, (1, 2)), lambda: Graph(2, (2, 0)),
-                     lambda: Graph(1, (0, 0)), lambda: Labelling((1, 1, 3))):
+                     lambda: Graph(1, (0, 0)), lambda: bch_construct(path3, 1, (1, 1, 3))):
             try:
                 make()
             except InvalidParameterError as exc:

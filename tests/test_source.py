@@ -45,3 +45,21 @@ def test_cli_import_leaves_out_dataclasses():
     assert "'dataclasses'" not in loaded
     assert "'inspect'" not in loaded
     assert extremal == "('D}o',)"
+
+
+def test_public_names_are_pinned():
+    # A change to the public API must edit this list.
+    assert sorted(starstab.__all__) == [
+        "CapacityExceededError", "Certificate", "Graph", "Graph6ParseError",
+        "InvalidParameterError", "IsolatedPatternWarning", "LabeledInstance",
+        "SchemaMismatchError", "StabCase", "StabResult", "StabilityVerdict", "StarstabError",
+        "bch_construct", "canonical_form", "certify", "complement", "complete", "conjunction",
+        "contains_subgraph", "decode_graph6", "empty", "encode_graph6",
+        "enumerate_graphs_by_edges", "export_dot", "extremal_family", "from_edges",
+        "graphs_of_order_and_size", "induced_delete", "is_stable_general", "is_star_stable",
+        "k0", "k1", "near_complete_regular", "pad", "permute", "read_certificate",
+        "recovery_embedding", "stab_case", "stab_result", "stab_value", "star", "star_stable",
+        "with_edge", "write_certificate",
+    ]
+    for name in starstab.__all__:
+        getattr(starstab, name)

@@ -7,7 +7,6 @@ import pytest
 from starstab import (
     CapacityExceededError,
     InvalidParameterError,
-    Labelling,
     StabilityVerdict,
     bch_construct,
     canonical_form,
@@ -212,7 +211,7 @@ class TestIsStarStable:
             verdict = is_star_stable(g, 3, 1)
             if not verdict.stable:
                 survivor = induced_delete(g, verdict.witness)
-                assert survivor.max_degree() < 3
+                assert max(survivor.degrees(), default=0) < 3
 
 
 class TestAgainstReferenceWalk:
@@ -267,7 +266,7 @@ class TestAgainstReferenceGeneralWalk:
             k = rng.randrange(max(0, 6 - pattern.n), 10 - pattern.n)
             labels = list(range(1, pattern.n + 1))
             rng.shuffle(labels)
-            g = bch_construct(pattern, k, Labelling(tuple(labels))).result
+            g = bch_construct(pattern, k, tuple(labels)).result
             # the host tolerates k faults; k + 1 can break it
             for faults in (k, k + 1):
                 assert (is_stable_general(g, pattern, faults)
@@ -445,7 +444,7 @@ class TestClassifyLowDegree:
 
     def test_survivor(self):
         g = near_complete_regular(6)
-        assert g.max_degree() < 5
+        assert max(g.degrees(), default=0) < 5
         assert is_star_stable(g, 4, 1).stable
 
     def test_wrong_parity_is_unstable(self):
@@ -455,7 +454,7 @@ class TestClassifyLowDegree:
         # the rule says nothing about graphs with a total vertex: this one is
         # stable without being the regular survivor
         g = star_stable(4, 1)
-        assert g.max_degree() == 5
+        assert max(g.degrees(), default=0) == 5
         assert is_star_stable(g, 4, 1).stable
         assert not self.is_regular_survivor(g)
 
@@ -465,7 +464,7 @@ class TestClassifyLowDegree:
             r = rng.randrange(3, 5)
             k = rng.randrange(0, 3)
             g = random_graph(rng, r + k + 1, rng.random())
-            if g.max_degree() == r + k:
+            if max(g.degrees(), default=0) == r + k:
                 continue
             expected = r % 2 == 0 and k % 2 == 1 and self.is_regular_survivor(g)
             assert is_star_stable(g, r, k).stable == expected
@@ -477,7 +476,7 @@ class TestClassifyLowDegree:
                 canonical_form(g)
                 for m in range(16)
                 for g in graphs_of_order_and_size(6, m)
-                if g.max_degree() < 5 and is_star_stable(g, r, k).stable
+                if max(g.degrees(), default=0) < 5 and is_star_stable(g, r, k).stable
             ]
             assert survivors == ([regular] if r % 2 == 0 and k % 2 else [])
 
