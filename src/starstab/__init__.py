@@ -42,7 +42,6 @@ from .graph import (
 )
 from .stability import (
     StabilityVerdict,
-    contains_subgraph,
     is_stable_general,
     is_star_stable,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "complement",
     "complete",
     "conjunction",
-    "contains_subgraph",
     "decode_graph6",
     "empty",
     "encode_graph6",

@@ -5,10 +5,10 @@ at the claimed minimum size and one edge below it. Every census of order n and
 size m is served from its sparser side, with e = min(m, C(n,2) - m) census
 edges: each class is a graph with e edges and no isolated vertices, padded to
 order n, or the complement of one. Each desk instance leaves at most a handful
-of complement edges, so the census stays in the hundreds of classes where a
-direct edge-count census would be astronomically large. Above order 8 a
-census may have at most 8 edges; the order is bounded only by the 64-vertex
-graph cap, and certificates by the 62-vertex cap of canonical codes.
+of complement edges, so the census stays in the thousands of classes where a
+direct edge-count census would be astronomically large. A census may try at
+most MAX_CENSUS_WORK augmentation candidates; the order is bounded only by
+the 64-vertex cap, and certificates by the 62-vertex cap of canonical codes.
 
 Isomorph-free generation has two levels. Connected classes with e edges grow
 from those with e-1 edges by one new edge: between two non-adjacent vertices,
@@ -52,10 +52,9 @@ if TYPE_CHECKING:
 
 __all__ = ["certify", "enumerate_graphs_by_edges", "graphs_of_order_and_size"]
 
-MAX_COMPLEMENT_BUDGET = 8
-# Up to this order the sparser side has at most C(8,2)/2 = 14 edges and the
-# census stays small, so the complement-edge budget is not needed.
-SMALL_ORDER_EXEMPTION = 8
+# Augmentation candidates one census may try (83,935 at 14 edges and order 8,
+# 113,607 at 11 edges and order 11); the smaller multiset level is not charged.
+MAX_CENSUS_WORK = 100_000
 
 
 def _edge_key(rows: list[int], u: int, v: int) -> tuple[int, int, int]:
@@ -156,8 +155,8 @@ def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     """One representative per iso class with order n and size m.
 
     The census runs on the sparser side, with e = min(m, C(n,2) - m) edges,
-    and above order SMALL_ORDER_EXEMPTION it is refused with
-    CapacityExceededError when e > MAX_COMPLEMENT_BUDGET. Classes come in
+    and is refused with CapacityExceededError before building a connected
+    level that takes it past MAX_CENSUS_WORK candidates. Classes come in
     census order, which is deterministic: each class, or its complement when
     e < m, is without its isolated vertices a multiset of connected classes
     with e edges in all; these are ordered by edge count, then by canonical
@@ -170,11 +169,14 @@ def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     if not 0 <= m <= comb(n, 2):
         raise InvalidParameterError(f"size {m} impossible at order {n}")
     e = min(m, comb(n, 2) - m)
-    if e > MAX_COMPLEMENT_BUDGET and n > SMALL_ORDER_EXEMPTION:
-        raise CapacityExceededError(
-            f"complement-edge budget exceeded: {e} edges > {MAX_COMPLEMENT_BUDGET} "
-            f"at order {n} > {SMALL_ORDER_EXEMPTION}")
-    for rep in _edge_class_reps(e, min(n, 2 * e)):
+    cap, work = min(n, 2 * e), 0
+    for j in range(2, e + 1):  # level j adds a non-edge or a pendant edge to level j-1
+        work += sum(comb(h.n, 2) - (j - 1) + (h.n if h.n < min(cap, j + 1) else 0)
+                    for h in _connected_reps(j - 1, min(cap, j)))
+        if work > MAX_CENSUS_WORK:
+            raise CapacityExceededError(f"census work budget exceeded: {e} census edges at "
+                                        f"order {n} need more than {MAX_CENSUS_WORK} candidates")
+    for rep in _edge_class_reps(e, cap):
         g = pad(rep, n)
         yield g if e == m else complement(g)
 

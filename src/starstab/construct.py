@@ -17,6 +17,7 @@ l sits at internal vertex index l-1 in the result graph.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from typing import Iterable, NamedTuple, Sequence
 
@@ -58,7 +59,10 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
     if k < 0:
         raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
     n = pattern.n
-    labelling = tuple(labelling)
+    try:
+        labelling = tuple(map(operator.index, labelling))
+    except TypeError:
+        raise InvalidParameterError(f"labels must be integers, got {labelling!r}") from None
     if sorted(labelling) != list(range(1, n + 1)):
         raise InvalidParameterError(f"labelling must be a bijection onto 1..{n}, got {labelling}")
     _check_vertex_budget(n + k)

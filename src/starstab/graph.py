@@ -33,14 +33,17 @@ class Graph:
     n: int
     rows: tuple[int, ...]
 
-    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+    def __init__(self, n: int, rows: Iterable[int]) -> None:
         if n < 0:
             raise InvalidParameterError(f"order must be >= 0, got {n}")
         _check_vertex_budget(n)
+        rows = tuple(rows)
         if len(rows) != n:
             raise InvalidParameterError("adjacency row count does not match order")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
+            if not isinstance(row, int):
+                raise InvalidParameterError(f"row {v} is not an int: {row!r}")
             if row & ~full:
                 raise InvalidParameterError(f"row {v} has bits outside the vertex range")
             if row >> v & 1:

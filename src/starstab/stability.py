@@ -29,7 +29,6 @@ from .graph import Graph, _check_rk
 
 __all__ = [
     "StabilityVerdict",
-    "contains_subgraph",
     "is_stable_general",
     "is_star_stable",
     "sparse_complement_guarantees_stable",
@@ -105,12 +104,6 @@ def _embeds(rows: tuple[int, ...], alive: int, pattern: Graph, budget: _Budget) 
         return False
 
     return place(0, alive)
-
-
-def contains_subgraph(g: Graph, pattern: Graph) -> bool:
-    """True iff an injective edge-preserving map from pattern into g exists,
-    found within a work budget of its own."""
-    return _embeds(g.rows, (1 << g.n) - 1, pattern, _Budget())
 
 
 def _walk(n: int, k: int, smallest: int, covered: Callable[[int, int, int], bool],

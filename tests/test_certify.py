@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 from functools import lru_cache
 from itertools import combinations
@@ -292,9 +293,9 @@ class TestGraphsOfOrderAndSize:
 
 
 class TestCensusEnvelope:
-    # at most 8 census edges on the sparser side above order 8, whether the
-    # census is asked for by edges, by order and size, or by certify; the
-    # order is bounded by the vertex and canonical-code caps alone
+    # at most MAX_CENSUS_WORK augmentation candidates on the sparser side,
+    # whether the census is asked for by edges, by order and size, or by
+    # certify; the order is bounded by the vertex and canonical-code caps alone
 
     def test_generators_serve_eight_edges_at_order_sixteen(self):
         assert len(list(enumerate_graphs_by_edges(8, 16))) == 497
@@ -308,11 +309,18 @@ class TestCensusEnvelope:
         assert len(list(enumerate_graphs_by_edges(9, 8))) == 402
         assert len(list(graphs_of_order_and_size(8, comb(8, 2) - 9))) == 402
 
-    @pytest.mark.parametrize("e, n", [(9, 9), (9, 16), (13, 16)])
+    def test_generators_serve_nine_edges_at_orders_nine_and_sixteen(self):
+        # 7,811 and 8,234 candidates
+        for n, count in ((9, 771), (16, 1474)):
+            assert len(list(enumerate_graphs_by_edges(9, n))) == count
+            assert len(list(graphs_of_order_and_size(n, comb(n, 2) - 9))) == count
+
+    @pytest.mark.parametrize("e, n", [(11, 11), (11, 22), (12, 9), (13, 16)])
     def test_generators_refuse_beyond_the_edge_budget(self, e, n):
-        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
+        # more census edges than MAX_CENSUS_WORK candidates allow at order n
+        with pytest.raises(CapacityExceededError, match="census work budget"):
             next(enumerate_graphs_by_edges(e, n))
-        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
+        with pytest.raises(CapacityExceededError, match="census work budget"):
             next(graphs_of_order_and_size(n, comb(n, 2) - e))
 
     def test_certify_serves_order_sixteen_within_the_edge_budget(self):
@@ -320,9 +328,9 @@ class TestCensusEnvelope:
         cert = certify(3, 12)
         assert cert.minimality_ok and cert.match
 
-    def test_certify_refuses_nine_edges_at_order_sixteen(self):
-        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
-            certify(4, 11)
+    def test_certify_serves_nine_edges_at_order_sixteen(self):
+        cert = certify(4, 11)
+        assert cert.minimality_ok and cert.match
 
     def test_certify_serves_r3_at_every_order_with_canonical_codes(self):
         for k in range(13, 59):
@@ -358,17 +366,34 @@ class TestCertify:
         assert a == b
 
     def test_order_budget(self):
-        # order 18 is served, but 10 census edges there are not
-        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
-            certify(4, 13)
+        # order 20 is served, but 11 census edges there are not
+        with pytest.raises(CapacityExceededError, match="census work budget"):
+            certify(4, 15)
 
     def test_complement_budget(self):
-        with pytest.raises(CapacityExceededError, match="complement-edge budget"):
-            certify(5, 3)
+        with pytest.raises(CapacityExceededError, match="census work budget"):
+            certify(5, 5)
 
-    def test_small_orders_exempt_from_complement_budget(self):
+    def test_small_orders_within_the_work_budget(self):
         cert = certify(5, 0)
         assert cert.claimed_value == 5
+        assert cert.minimality_ok and cert.match
+
+
+class TestCensusWorkBudget:
+    # one census may try MAX_CENSUS_WORK augmentation candidates, counted from
+    # the level sizes alone, so the check does not depend on the level caches
+    def test_census_of_exactly_the_budget_runs(self, monkeypatch):
+        census = importlib.import_module("starstab.certify")
+        monkeypatch.setattr(census, "MAX_CENSUS_WORK", 83_935)
+        assert len(list(graphs_of_order_and_size(8, 14))) == 1646
+        monkeypatch.setattr(census, "MAX_CENSUS_WORK", 83_934)
+        with pytest.raises(CapacityExceededError, match="14 census edges at order 8"):
+            next(graphs_of_order_and_size(8, 14))
+
+    def test_certify_serves_eleven_edges_at_order_nine(self):
+        # 11 census edges at order 9 below the claimed size: 58,835 candidates
+        cert = certify(5, 3)
         assert cert.minimality_ok and cert.match
 
 

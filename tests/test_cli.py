@@ -243,10 +243,10 @@ class TestCertify:
         assert json.loads(cert_path.read_text()) == payload
 
     def test_capacity_exit_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "certify", "--r", "5", "--k", "3",
+        code, _, err = run(capsys, "certify", "--r", "5", "--k", "5",
                            "--out", str(tmp_path / "c.json"))
         assert code == 2
-        assert "complement-edge budget" in err
+        assert "census work budget" in err
 
     def test_boundary_instance_lists_two_classes(self, capsys, tmp_path):
         cert_path = tmp_path / "cert.json"
@@ -308,10 +308,13 @@ class TestEnumerate:
             "0eb0309d56dd3917dd746c6652015ef794ce5acfe9f02972439ae718caad3333")
 
     def test_census_beyond_the_edge_budget_is_refused_fast(self):
-        proc = run_cli_subprocess("enumerate", "--edges", "13", "--max-vertices", "16")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "complement-edge budget" in proc.stderr
+        # each builds the levels below the one that overruns: 30,401 candidates
+        for e, n in ((13, 16), (11, 22)):
+            proc = run_cli_subprocess("enumerate", "--edges", str(e), "--max-vertices", str(n),
+                                      timeout=5)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == (f"error: census work budget exceeded: {e} census edges at "
+                                   f"order {n} need more than 100000 candidates\n")
 
     def test_dense_census_runs_on_the_sparse_side(self):
         # K8 from its empty complement; a census of 28 edges took 8 s

@@ -56,6 +56,12 @@ class TestLabelling:
                 bch_construct(PATH3, 1, labels)
             assert str(excinfo.value) == f"labelling must be a bijection onto 1..3, got {labels}"
 
+    def test_labels_are_integers(self):
+        with pytest.raises(InvalidParameterError, match="labels must be integers"):
+            bch_construct(star(3), 1, (1.0, 2.0, 3.0, 4.0))
+        labelling = bch_construct(star(3), 1, (True, 2, 3, 4)).labelling
+        assert labelling == (1, 2, 3, 4) and type(labelling[0]) is int
+
 
 class TestBchConstruct:
     def test_worked_example_first_labelling(self):

@@ -53,6 +53,17 @@ class TestGraphType:
         with pytest.raises(CapacityExceededError):
             Graph(65, (0,) * 65)
 
+    def test_owns_its_rows(self):
+        rows = [2, 1]
+        g = Graph(2, rows)
+        rows.append(0)
+        assert g.rows == (2, 1)
+        assert hash(g) == hash(Graph(2, (2, 1)))
+
+    def test_rejects_rows_that_are_not_ints(self):
+        with pytest.raises(InvalidParameterError, match="row 0 is not an int"):
+            Graph(2, (1.5, 0))
+
     def test_from_edges_rejects_loop_and_range(self):
         with pytest.raises(InvalidParameterError):
             from_edges(3, [(1, 1)])

@@ -54,7 +54,7 @@ def test_public_names_are_pinned():
         "InvalidParameterError", "IsolatedPatternWarning", "LabeledInstance",
         "SchemaMismatchError", "StabCase", "StabResult", "StabilityVerdict", "StarstabError",
         "bch_construct", "canonical_form", "certify", "complement", "complete", "conjunction",
-        "contains_subgraph", "decode_graph6", "empty", "encode_graph6",
+        "decode_graph6", "empty", "encode_graph6",
         "enumerate_graphs_by_edges", "export_dot", "extremal_family", "from_edges",
         "graphs_of_order_and_size", "induced_delete", "is_stable_general", "is_star_stable",
         "k0", "k1", "near_complete_regular", "pad", "permute", "read_certificate",
