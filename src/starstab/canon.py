@@ -33,7 +33,7 @@ bitwise negation of the graph's, so the code is the negated least key.
 from __future__ import annotations
 
 from .errors import CapacityExceededError
-from .graph import GRAPH6_MAX_ORDER, Graph, _graph6_text, _pair_bits
+from .graph import GRAPH6_MAX_ORDER, Graph, _graph6_text, _pair_bits, complement
 
 
 def canonical_form(g: Graph) -> str:
@@ -43,9 +43,7 @@ def canonical_form(g: Graph) -> str:
         raise CapacityExceededError(f"canonical codes support order <= {GRAPH6_MAX_ORDER}, got {n}")
     npairs = n * (n - 1) // 2
     if 2 * g.size > npairs:
-        full = (1 << n) - 1
-        comp_rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows))
-        return _graph6_text(n, _min_key(comp_rows) ^ ((1 << npairs) - 1))
+        return _graph6_text(n, _min_key(complement(g).rows) ^ ((1 << npairs) - 1))
     return _graph6_text(n, _min_key(g.rows))
 
 

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .canon import canonical_form
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import (Graph, _check_vertex_budget, complement, decode_graph6, from_edges,
+from .graph import (Graph, _check_order, complement, decode_graph6, from_edges,
                     induced_delete, pad)
 from .stability import is_star_stable, sparse_complement_guarantees_stable
 from .theorem import extremal_family, stab_value
@@ -163,10 +163,8 @@ def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     code, and the multisets come in lexicographic order of their
     non-decreasing index lists. Representatives are not canonically labelled.
     """
-    _check_vertex_budget(n)
-    if n < 0:
-        raise InvalidParameterError(f"order must be >= 0, got {n}")
-    if not 0 <= m <= comb(n, 2):
+    _check_order(n)
+    if not (isinstance(m, int) and 0 <= m <= comb(n, 2)):
         raise InvalidParameterError(f"size {m} impossible at order {n}")
     e = min(m, comb(n, 2) - m)
     cap, work = min(n, 2 * e), 0

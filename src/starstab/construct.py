@@ -22,7 +22,7 @@ import warnings
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
-from .graph import (Graph, _check_rk, _check_vertex_budget, complete, conjunction, empty,
+from .graph import (Graph, _check_rk, _check_order, complete, conjunction, empty,
                     from_edges, star)
 
 __all__ = [
@@ -56,8 +56,8 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
     edge set is exactly the union, over pattern edges with labels i and j, of
     all pairs between {i..i+k} and {j..j+k}.
     """
-    if k < 0:
-        raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
+    if not isinstance(k, int) or k < 0:
+        raise InvalidParameterError(f"fault budget k must be an int >= 0, got {k!r}")
     n = pattern.n
     try:
         labelling = tuple(map(operator.index, labelling))
@@ -65,7 +65,7 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
         raise InvalidParameterError(f"labels must be integers, got {labelling!r}") from None
     if sorted(labelling) != list(range(1, n + 1)):
         raise InvalidParameterError(f"labelling must be a bijection onto 1..{n}, got {labelling}")
-    _check_vertex_budget(n + k)
+    _check_order(n + k)
     if any(not pattern.rows[v] for v in range(n)):
         warnings.warn(
             "pattern has isolated vertices; construction proceeds but "
@@ -87,7 +87,7 @@ def star_stable(r: int, k: int) -> Graph:
     """The unique spare-vertex expansion of a star: join of K_{k+1} and r
     isolated vertices, on r+k+1 vertices with (k+1)(2r+k)/2 edges."""
     _check_rk(r, k)
-    _check_vertex_budget(r + k + 1)
+    _check_order(r + k + 1)
     return conjunction(complete(k + 1), empty(r))
 
 
@@ -107,7 +107,7 @@ def recovery_embedding(instance: LabeledInstance,
         raise InvalidParameterError(f"{len(fset)} faults exceed the budget k={k}")
     all_labels = range(1, n + k + 1)
     for f in fset:
-        if f not in all_labels:
+        if not (isinstance(f, int) and f in all_labels):
             raise InvalidParameterError(f"fault label {f} is not a vertex label of the result")
     survivors = [l for l in all_labels if l not in fset]
     pairs = tuple((i + 1, survivors[i]) for i in range(n))

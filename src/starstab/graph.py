@@ -4,7 +4,9 @@ Vertices are the integers 0..n-1. ``rows[v]`` is an int whose bit ``u`` is set
 iff ``uv`` is an edge, so each neighbourhood fits in one machine word and
 degree/intersection queries are single popcounts. Graph values are immutable;
 every operation returns a new graph, which makes them safe to share between
-concurrent workers.
+concurrent workers. The builders compose the ``Graph`` constructor,
+:func:`from_edges`, :func:`complement`, :func:`conjunction` and the
+induced-subgraph helper, so each row-level operation is written once.
 
 graph6 serialization follows the standard format for orders up to 62: a header
 byte ``n + 63`` followed by the upper-triangle adjacency bits in column-major
@@ -34,9 +36,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
-        if n < 0:
-            raise InvalidParameterError(f"order must be >= 0, got {n}")
-        _check_vertex_budget(n)
+        _check_order(n)
         rows = tuple(rows)
         if len(rows) != n:
             raise InvalidParameterError("adjacency row count does not match order")
@@ -102,36 +102,41 @@ class Graph:
 
 def _check_rk(r: int, k: int) -> None:
     """The parameters of a star question: r >= 3 leaves, fault budget k >= 0."""
+    if not (isinstance(r, int) and isinstance(k, int)):
+        raise InvalidParameterError(f"r and k must be ints, got {r!r} and {k!r}")
     if r < 3:
         raise InvalidParameterError(f"star patterns require r >= 3, got {r}")
     if k < 0:
         raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
 
 
-def _check_vertex_budget(n: int) -> None:
+def _check_order(n: int) -> None:
+    """An order is an int from 0 up to the vertex cap."""
+    if not isinstance(n, int):
+        raise InvalidParameterError(f"order must be an int, got {n!r}")
+    if n < 0:
+        raise InvalidParameterError(f"order must be >= 0, got {n}")
     if n > MAX_ORDER:
         raise CapacityExceededError(f"order {n} exceeds the {MAX_ORDER}-vertex cap")
 
 
 def empty(n: int) -> Graph:
     """Edgeless graph on n vertices."""
-    _check_vertex_budget(n)
+    _check_order(n)
     return Graph(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
-    _check_vertex_budget(n)
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return complement(empty(n))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on n vertices with the given edges (duplicates are fine)."""
-    _check_vertex_budget(n)
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidParameterError(f"edge ({u}, {v}) out of range for order {n}")
+        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+            raise InvalidParameterError(f"edge ({u!r}, {v!r}) out of range for order {n}")
         if u == v:
             raise InvalidParameterError(f"loop at vertex {u} rejected")
         rows[u] |= 1 << v
@@ -141,19 +146,16 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def with_edge(g: Graph, u: int, v: int) -> Graph:
     """Copy of g with edge uv added."""
-    if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
-        raise InvalidParameterError(f"cannot add edge ({u}, {v})")
-    rows = list(g.rows)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
+    if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < g.n and 0 <= v < g.n) or u == v:
+        raise InvalidParameterError(f"cannot add edge ({u!r}, {v!r})")
+    return from_edges(g.n, [*g.edges(), (u, v)])
 
 
 def pad(g: Graph, n: int) -> Graph:
     """g with isolated vertices appended up to order n."""
     if n < g.n:
         raise InvalidParameterError(f"cannot pad order {g.n} down to {n}")
-    _check_vertex_budget(n)
+    _check_order(n)
     return Graph(n, g.rows + (0,) * (n - g.n))
 
 
@@ -161,9 +163,8 @@ def star(r: int) -> Graph:
     """The star with one center (vertex 0) and r leaves; defined for r >= 3."""
     if r < 3:
         raise InvalidParameterError(f"star requires r >= 3, got {r}")
-    _check_vertex_budget(r + 1)
-    leaves = ((1 << (r + 1)) - 1) ^ 1
-    return Graph(r + 1, (leaves,) + (1,) * r)
+    _check_order(r + 1)
+    return conjunction(empty(1), empty(r))
 
 
 def conjunction(g1: Graph, g2: Graph) -> Graph:
@@ -172,7 +173,7 @@ def conjunction(g1: Graph, g2: Graph) -> Graph:
     The result has order |g1| + |g2| and size ||g1|| + ||g2|| + |g1|*|g2|.
     """
     n1, n2 = g1.n, g2.n
-    _check_vertex_budget(n1 + n2)
+    _check_order(n1 + n2)
     mask1 = (1 << n1) - 1
     mask2 = ((1 << n2) - 1) << n1
     rows = [g1.rows[v] | mask2 for v in range(n1)]
@@ -185,15 +186,9 @@ def near_complete_regular(n: int) -> Graph:
 
     Exists only for even n; the missing matching pairs are (0,1), (2,3), ...
     """
-    if n < 2 or n % 2:
-        raise InvalidParameterError(f"(n-2)-regular graph needs even n >= 2, got {n}")
-    _check_vertex_budget(n)
-    full = (1 << n) - 1
-    rows = []
-    for v in range(n):
-        partner = v ^ 1
-        rows.append(full ^ (1 << v) ^ (1 << partner))
-    return Graph(n, tuple(rows))
+    if not isinstance(n, int) or n < 2 or n % 2:
+        raise InvalidParameterError(f"(n-2)-regular graph needs even n >= 2, got {n!r}")
+    return complement(from_edges(n, [(v, v + 1) for v in range(0, n, 2)]))
 
 
 def complement(g: Graph) -> Graph:
@@ -202,42 +197,34 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_delete(g: Graph, faults: Iterable[int]) -> Graph:
-    """Induced subgraph on the vertices outside ``faults``, reindexed contiguously.
-
-    Surviving vertices keep their relative order.
-    """
+    """Subgraph induced on the vertices outside ``faults``, which keep their order."""
     fset = frozenset(faults)
     for v in fset:
-        if not 0 <= v < g.n:
-            raise InvalidParameterError(f"fault vertex {v} out of range for order {g.n}")
-    keep = [v for v in range(g.n) if v not in fset]
-    newindex = {v: i for i, v in enumerate(keep)}
-    rows = [0] * len(keep)
-    for v in keep:
-        w = g.rows[v]
-        while w:
-            u = (w & -w).bit_length() - 1
-            w &= w - 1
-            if u in newindex:
-                rows[newindex[v]] |= 1 << newindex[u]
-    return Graph(len(keep), tuple(rows))
+        if not (isinstance(v, int) and 0 <= v < g.n):
+            raise InvalidParameterError(f"fault vertex {v!r} out of range for order {g.n}")
+    return _induced(g, [v for v in range(g.n) if v not in fset])
 
 
 def permute(g: Graph, order: Sequence[int]) -> Graph:
     """Relabel g so that new vertex i is old vertex order[i]."""
-    if sorted(order) != list(range(g.n)):
+    if not all(isinstance(v, int) for v in order) or sorted(order) != list(range(g.n)):
         raise InvalidParameterError("order must be a permutation of the vertices")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = [0] * g.n
+    return _induced(g, order)
+
+
+def _induced(g: Graph, order: Sequence[int]) -> Graph:
+    """Subgraph induced on the listed vertices: new vertex i is old vertex
+    order[i], and edges to vertices outside the list are dropped."""
+    pos = {v: i for i, v in enumerate(order)}
+    rows = [0] * len(order)
     for i, v in enumerate(order):
         w = g.rows[v]
         while w:
             u = (w & -w).bit_length() - 1
             w &= w - 1
-            rows[i] |= 1 << pos[u]
-    return Graph(g.n, tuple(rows))
+            if u in pos:
+                rows[i] |= 1 << pos[u]
+    return Graph(len(order), rows)
 
 
 def _pair_bits(rows: Sequence[int], order: Sequence[int]) -> int:
@@ -299,15 +286,8 @@ def decode_graph6(text: str | bytes) -> Graph:
     if bits & ((1 << padding) - 1):
         raise Graph6ParseError("nonzero padding bits in graph6 body")
     bits >>= padding
-    rows = [0] * n
-    pos = npairs
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return from_edges(n, (p for p, bit in zip(pairs, f"{bits:0{npairs}b}") if bit == "1"))
 
 
 def export_dot(g: Graph, index_base: int = 0) -> str:

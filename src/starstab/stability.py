@@ -172,8 +172,8 @@ def is_stable_general(g: Graph, pattern: Graph, k: int) -> StabilityVerdict:
     """Stability for an arbitrary pattern. A tree node is covered when a copy
     lies among the vertices sure to survive: the decided survivors at an
     inner node, all survivors at a leaf."""
-    if k < 0:
-        raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
+    if not isinstance(k, int) or k < 0:
+        raise InvalidParameterError(f"fault budget k must be an int >= 0, got {k!r}")
     budget = _Budget()
     return _walk(g.n, k, pattern.n, lambda alive, undecided, m: _embeds(
         g.rows, alive & ~undecided if m else alive, pattern, budget), budget)

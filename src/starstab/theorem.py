@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .construct import star_stable
 from .errors import InvalidParameterError
-from .graph import (Graph, _check_rk, _check_vertex_budget, complete, conjunction,
+from .graph import (Graph, _check_rk, _check_order, complete, conjunction,
                     near_complete_regular)
 
 __all__ = [
@@ -73,7 +73,7 @@ class StabResult(NamedTuple):
 
 def k1(r: int) -> int:
     """Lower boundary constant (r-1)^2 - 2 for even r; odd for even r."""
-    if r < 4 or r % 2:
+    if not isinstance(r, int) or r < 4 or r % 2:
         raise InvalidParameterError(f"boundary constants apply to even r >= 4, got {r}")
     return (r - 1) ** 2 - 2
 
@@ -142,5 +142,5 @@ def extremal_family(r: int, k: int) -> list[Graph]:
     """All minimum-size stable graphs on r+k+1 vertices, one per iso class,
     in deterministic descriptor order."""
     _check_rk(r, k)
-    _check_vertex_budget(r + k + 1)
+    _check_order(r + k + 1)
     return [_realize(d, r, k) for d in stab_result(r, k).extremal_descriptors]

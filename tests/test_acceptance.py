@@ -31,6 +31,7 @@ from starstab import (
     star_stable,
 )
 from starstab.construct import star_instance
+from helpers import random_graph, random_labelling
 
 
 @contextmanager
@@ -40,17 +41,6 @@ def budget(name, seconds):
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s, budget {seconds}s)")
     assert elapsed < seconds, f"{name} exceeded its {seconds}s budget: {elapsed:.2f}s"
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return from_edges(n, edges)
-
-
-def random_labelling(rng, n):
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    return tuple(labels)
 
 
 def all_order6_classes():

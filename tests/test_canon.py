@@ -20,17 +20,7 @@ from starstab import (
 )
 from starstab.canon import _refine, _twin_representatives
 from starstab.graph import _graph6_text, _pair_bits
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return from_edges(n, edges)
-
-
-def all_labeled_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+from helpers import all_labeled_graphs, cycle, random_graph
 
 
 def brute_isomorphic(g1, g2):
@@ -80,10 +70,6 @@ def reference_code(g):
 
 def path(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestCanonicalForm:

@@ -30,6 +30,7 @@ from starstab import (
     write_certificate,
 )
 from starstab.certify import _connected_reps, _edge_class_reps
+from helpers import all_labeled_graphs
 
 
 def is_connected(g):
@@ -148,12 +149,6 @@ def census_levels(r, k):
 
 
 GRID_LEVELS = sorted({level for r, k in CERTIFICATION_GRID for level in census_levels(r, k)})
-
-
-def all_labeled_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
 class TestEnumerateByEdges:

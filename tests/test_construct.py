@@ -26,17 +26,7 @@ from starstab import (
     star_stable,
 )
 from starstab.construct import star_instance
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return from_edges(n, edges)
-
-
-def random_labelling(rng, n):
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    return tuple(labels)
+from helpers import random_graph, random_labelling
 
 
 WORKED_PATTERN = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
@@ -55,6 +45,10 @@ class TestLabelling:
             with pytest.raises(InvalidParameterError) as excinfo:
                 bch_construct(PATH3, 1, labels)
             assert str(excinfo.value) == f"labelling must be a bijection onto 1..3, got {labels}"
+
+    def test_fault_budget_must_be_an_int(self):
+        with pytest.raises(InvalidParameterError, match="fault budget k"):
+            bch_construct(PATH3, 1.0, (1, 2, 3))
 
     def test_labels_are_integers(self):
         with pytest.raises(InvalidParameterError, match="labels must be integers"):
@@ -191,6 +185,10 @@ class TestRecoveryEmbedding:
         instance = star_instance(3, 1)
         with pytest.raises(InvalidParameterError):
             recovery_embedding(instance, [6])
+
+    def test_fault_labels_must_be_ints(self):
+        with pytest.raises(InvalidParameterError, match="fault label 1.0"):
+            recovery_embedding(star_instance(3, 1), [1.0])
 
     def test_shift_bound_exhaustive_small(self):
         instance = star_instance(4, 2)

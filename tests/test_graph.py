@@ -29,11 +29,7 @@ from starstab import (
     star,
     with_edge,
 )
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return from_edges(n, edges)
+from helpers import random_graph
 
 
 class TestGraphType:
@@ -291,6 +287,41 @@ class TestPermutePad:
         assert with_edge(g, 2, 3).size == 2
         with pytest.raises(InvalidParameterError):
             pad(g, 2)
+
+
+class TestIntegerArguments:
+    def test_order_must_be_an_int(self):
+        with pytest.raises(InvalidParameterError, match="order must be an int"):
+            empty(3.0)
+
+    def test_negative_order_is_refused_by_complete(self):
+        with pytest.raises(InvalidParameterError, match="order must be >= 0, got -1"):
+            complete(-1)
+
+    def test_fault_vertices_must_be_ints(self):
+        with pytest.raises(InvalidParameterError, match="fault vertex 0.5"):
+            induced_delete(complete(3), [0.5])
+
+    def test_permutation_entries_must_be_ints(self):
+        with pytest.raises(InvalidParameterError, match="permutation"):
+            permute(complete(3), (0.0, 1.0, 2.0))
+
+    def test_edge_endpoints_must_be_ints(self):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            from_edges(3, [(0, 1.0)])
+        with pytest.raises(InvalidParameterError, match="cannot add edge"):
+            with_edge(empty(3), 0.0, 1)
+
+    @pytest.mark.parametrize("build, arg", [(star, 3.5), (star, 4.0), (near_complete_regular, 4.0)])
+    def test_builder_counts_must_be_ints(self, build, arg):
+        with pytest.raises(InvalidParameterError):
+            build(arg)
+
+    def test_bools_count_as_ints(self):
+        assert empty(True) == empty(1)
+        assert permute(complete(2), (True, False)) == complete(2)
+        assert induced_delete(complete(3), [True]) == complete(2)
+        assert with_edge(empty(2), False, True) == complete(2)
 
 
 class TestGraph6:

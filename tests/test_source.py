@@ -19,6 +19,26 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
+def test_every_imported_name_is_used():
+    # A deletion can leave an import behind; the package __init__ imports to
+    # re-export, and __future__ imports bind no name.
+    unused = []
+    for path in sorted(Path(starstab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_cli_import_leaves_out_dataclasses():
     # Every CLI call pays for what `import starstab.cli` loads. Modules the
     # bare interpreter already holds (site hooks) are not counted.

@@ -26,6 +26,7 @@ from starstab import (
     with_edge,
 )
 from starstab.stability import _Budget, _embeds, sparse_complement_guarantees_stable
+from helpers import all_labeled_graphs, cycle, random_graph
 
 
 def contains_subgraph(g, pattern):
@@ -33,17 +34,8 @@ def contains_subgraph(g, pattern):
     return _embeds(g.rows, (1 << g.n) - 1, pattern, _Budget())
 
 
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return from_edges(n, edges)
-
-
 def circulant(n, distances):
     return from_edges(n, [(i, (i + d) % n) for i in range(n) for d in distances])
-
-
-def cycle(n):
-    return circulant(n, [1])
 
 
 def complete_bipartite(a, b):
@@ -101,12 +93,6 @@ CONNECTED_PATTERNS = [
     from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
     complete(4),
 ]
-
-
-def labelled_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield from_edges(n, [p for j, p in enumerate(pairs) if mask >> j & 1])
 
 
 # the (r, k) pairs whose census classes the oracle tests decide
@@ -170,7 +156,7 @@ class TestContainsSubgraph:
 
     def test_every_labelled_host_up_to_order_five(self):
         for n in range(1, 6):
-            for g in labelled_graphs(n):
+            for g in all_labeled_graphs(n):
                 for pattern in CONNECTED_PATTERNS:
                     assert contains_subgraph(g, pattern) == reference_contains(g, pattern)
 
@@ -200,6 +186,10 @@ class TestIsStarStable:
         with pytest.raises(InvalidParameterError):
             is_star_stable(complete(5), 3, -1)
 
+    def test_star_size_must_be_an_int(self):
+        with pytest.raises(InvalidParameterError, match="r and k must be ints"):
+            is_star_stable(complete(5), 3.5, 1)
+
     def test_witness_is_lexicographically_smallest(self):
         rng = random.Random(43)
         for _ in range(15):
@@ -222,7 +212,7 @@ class TestAgainstReferenceWalk:
     # the pruned walk must give the flat walk's verdict, witness and count
     def test_every_labelled_graph_up_to_order_six(self):
         for n in range(4, 7):
-            for g in labelled_graphs(n):
+            for g in all_labeled_graphs(n):
                 for r in range(3, n):
                     for k in range(n - r):
                         assert is_star_stable(g, r, k) == reference_star_walk(g, r, k)
@@ -249,7 +239,7 @@ class TestAgainstReferenceGeneralWalk:
     # count; a cover that searched undecided vertices too would fail here
     def test_every_labelled_graph_up_to_order_five(self):
         for n in range(2, 6):
-            for g in labelled_graphs(n):
+            for g in all_labeled_graphs(n):
                 for pattern in CONNECTED_PATTERNS:
                     for k in range(n + 1):
                         assert (is_stable_general(g, pattern, k)
@@ -301,6 +291,10 @@ class TestIsStableGeneral:
             k = rng.randrange(0, 3)
             # both walk in lexicographic order: same witness and count too
             assert is_stable_general(g, star(r), k) == is_star_stable(g, r, k)
+
+    def test_fault_budget_must_be_an_int(self):
+        with pytest.raises(InvalidParameterError, match="fault budget k"):
+            is_stable_general(star_stable(3, 1), star(3), 1.0)
 
     def test_checked_fault_set_count(self):
         verdict = is_stable_general(star_stable(3, 1), star(3), 1)
@@ -420,6 +414,25 @@ class TestSparseComplementAccelerator:
         g = complement(from_edges(8, [(0, 1)]))
         assert sparse_complement_guarantees_stable(g, 3)
         assert is_star_stable(g, 3, 2).stable
+
+
+class TestWalkSubsumesSparseComplement:
+    def test_root_decides_every_shortcut_hit(self, monkeypatch):
+        # Fewer than ceil((r+1)/2) complement edges leave at least k+1 total
+        # vertices at order r+k+1, so the degree cover fires at the walk's
+        # root: one work unit decides every graph the shortcut accepts.
+        monkeypatch.setattr("starstab.stability.MAX_WORK", 1)
+        pairs = hits = 0
+        for n in range(4, 9):
+            for m in range(comb(n, 2) + 1):
+                for g in graphs_of_order_and_size(n, m):
+                    for r in range(3, n):
+                        pairs += 1
+                        if sparse_complement_guarantees_stable(g, r):
+                            hits += 1
+                            k = n - r - 1
+                            assert is_star_stable(g, r, k) == (True, None, comb(n, k))
+        assert (pairs, hits) == (66_453, 65)
 
 
 class TestEdgeMonotonicity:

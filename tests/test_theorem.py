@@ -126,6 +126,21 @@ class TestStabValue:
             assert (k + 1) * (2 * r + k) == (r + k) ** 2
 
 
+class TestIntegerArguments:
+    def test_stab_value_refuses_a_float_r(self):
+        with pytest.raises(InvalidParameterError, match="r and k must be ints"):
+            stab_value(4.0, 2)
+
+    def test_boundary_constants_refuse_a_float_r(self):
+        for constant in (k0, k1):
+            with pytest.raises(InvalidParameterError):
+                constant(4.0)
+
+    def test_census_refuses_a_float_size(self):
+        with pytest.raises(InvalidParameterError, match="impossible"):
+            list(graphs_of_order_and_size(4, 2.0))
+
+
 class TestExtremalFamily:
     def test_single_extremal_small(self):
         family = extremal_family(3, 1)
