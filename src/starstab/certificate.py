@@ -4,7 +4,8 @@ A certificate file is one JSON object holding every field of
 :class:`Certificate` under its own name, keys sorted, indented by two spaces.
 Reading refuses, with ``SchemaMismatchError``, a file that is not a JSON
 object, a schema version other than ``SCHEMA_VERSION``, a file missing any
-field, and code lists that are not JSON arrays.
+field, and a field without the JSON type of its annotation (code lists are
+arrays of strings; true and false are neither integers nor numbers).
 
 The package imports this module on first use, because ``dataclasses`` would
 otherwise add to the start-up of every CLI call.
@@ -19,9 +20,11 @@ from pathlib import Path
 
 from .errors import SchemaMismatchError
 
-__all__ = ["Certificate", "SCHEMA_VERSION", "read_certificate", "write_certificate"]
-
 SCHEMA_VERSION = "1"
+
+# The JSON value types each Certificate field accepts, by its annotation text.
+_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "float": (int, float),
+               "tuple[str, ...]": (list,)}
 
 
 @dataclass(frozen=True)
@@ -53,13 +56,15 @@ def read_certificate(path: str | Path) -> Certificate:
     if version != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"unsupported certificate schema {version!r}, expected {SCHEMA_VERSION!r}")
-    fields = {f.name for f in dataclasses.fields(Certificate)}
-    missing = fields - payload.keys()
+    fields = dataclasses.fields(Certificate)
+    missing = {f.name for f in fields} - payload.keys()
     if missing:
         raise SchemaMismatchError(f"certificate missing fields: {sorted(missing)}")
-    values = {name: payload[name] for name in fields}
-    for name in ("extremal_found", "extremal_expected"):
-        if not isinstance(values[name], list):
-            raise SchemaMismatchError(f"certificate field {name} is not a list: {values[name]!r}")
-        values[name] = tuple(values[name])
+    values = {}
+    for f in fields:
+        value = payload[f.name]
+        if type(value) not in _JSON_TYPES[f.type] or (
+                type(value) is list and any(type(code) is not str for code in value)):
+            raise SchemaMismatchError(f"certificate field {f.name} has the wrong type: {value!r}")
+        values[f.name] = tuple(value) if type(value) is list else value
     return Certificate(**values)

@@ -50,8 +50,6 @@ from .theorem import extremal_family, stab_value
 if TYPE_CHECKING:
     from .certificate import Certificate
 
-__all__ = ["certify", "enumerate_graphs_by_edges", "graphs_of_order_and_size"]
-
 # Augmentation candidates one census may try (83,935 at 14 edges and order 8,
 # 113,607 at 11 edges and order 11); the smaller multiset level is not charged.
 MAX_CENSUS_WORK = 100_000

@@ -22,17 +22,8 @@ import warnings
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
-from .graph import (Graph, _check_rk, _check_order, complete, conjunction, empty,
-                    from_edges, star)
-
-__all__ = [
-    "IsolatedPatternWarning",
-    "LabeledInstance",
-    "bch_construct",
-    "recovery_embedding",
-    "star_instance",
-    "star_stable",
-]
+from .graph import (Graph, _check_fault_budget, _check_order, _check_star_size, complete,
+                    conjunction, empty, from_edges, star)
 
 
 class IsolatedPatternWarning(UserWarning):
@@ -56,8 +47,7 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
     edge set is exactly the union, over pattern edges with labels i and j, of
     all pairs between {i..i+k} and {j..j+k}.
     """
-    if not isinstance(k, int) or k < 0:
-        raise InvalidParameterError(f"fault budget k must be an int >= 0, got {k!r}")
+    _check_fault_budget(k)
     n = pattern.n
     try:
         labelling = tuple(map(operator.index, labelling))
@@ -86,7 +76,8 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
 def star_stable(r: int, k: int) -> Graph:
     """The unique spare-vertex expansion of a star: join of K_{k+1} and r
     isolated vertices, on r+k+1 vertices with (k+1)(2r+k)/2 edges."""
-    _check_rk(r, k)
+    _check_star_size(r)
+    _check_fault_budget(k)
     _check_order(r + k + 1)
     return conjunction(complete(k + 1), empty(r))
 

@@ -100,14 +100,28 @@ class Graph:
                 w &= w - 1
 
 
-def _check_rk(r: int, k: int) -> None:
-    """The parameters of a star question: r >= 3 leaves, fault budget k >= 0."""
-    if not (isinstance(r, int) and isinstance(k, int)):
-        raise InvalidParameterError(f"r and k must be ints, got {r!r} and {k!r}")
-    if r < 3:
-        raise InvalidParameterError(f"star patterns require r >= 3, got {r}")
-    if k < 0:
-        raise InvalidParameterError(f"fault budget k must be >= 0, got {k}")
+def _check_star_size(r: int) -> None:
+    """A star size is an int >= 3."""
+    if not isinstance(r, int) or r < 3:
+        raise InvalidParameterError(f"star size r must be an int >= 3, got {r!r}")
+
+
+def _check_fault_budget(k: int) -> None:
+    """A fault budget is an int >= 0."""
+    if not isinstance(k, int) or k < 0:
+        raise InvalidParameterError(f"fault budget k must be an int >= 0, got {k!r}")
+
+
+def _check_vertex(v: int, n: int) -> None:
+    """A vertex of an order-n graph is an int in 0..n-1."""
+    if not (isinstance(v, int) and 0 <= v < n):
+        raise InvalidParameterError(f"vertex {v!r} out of range for order {n}")
+
+
+def _check_graph6_order(n: int) -> None:
+    """graph6 text and canonical codes have a one-byte order header."""
+    if n > GRAPH6_MAX_ORDER:
+        raise CapacityExceededError(f"graph6 output supports order <= {GRAPH6_MAX_ORDER}, got {n}")
 
 
 def _check_order(n: int) -> None:
@@ -135,8 +149,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     _check_order(n)
     rows = [0] * n
     for u, v in edges:
-        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
-            raise InvalidParameterError(f"edge ({u!r}, {v!r}) out of range for order {n}")
+        _check_vertex(u, n)
+        _check_vertex(v, n)
         if u == v:
             raise InvalidParameterError(f"loop at vertex {u} rejected")
         rows[u] |= 1 << v
@@ -146,23 +160,20 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def with_edge(g: Graph, u: int, v: int) -> Graph:
     """Copy of g with edge uv added."""
-    if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < g.n and 0 <= v < g.n) or u == v:
-        raise InvalidParameterError(f"cannot add edge ({u!r}, {v!r})")
     return from_edges(g.n, [*g.edges(), (u, v)])
 
 
 def pad(g: Graph, n: int) -> Graph:
     """g with isolated vertices appended up to order n."""
+    _check_order(n)
     if n < g.n:
         raise InvalidParameterError(f"cannot pad order {g.n} down to {n}")
-    _check_order(n)
     return Graph(n, g.rows + (0,) * (n - g.n))
 
 
 def star(r: int) -> Graph:
     """The star with one center (vertex 0) and r leaves; defined for r >= 3."""
-    if r < 3:
-        raise InvalidParameterError(f"star requires r >= 3, got {r}")
+    _check_star_size(r)
     _check_order(r + 1)
     return conjunction(empty(1), empty(r))
 
@@ -200,8 +211,7 @@ def induced_delete(g: Graph, faults: Iterable[int]) -> Graph:
     """Subgraph induced on the vertices outside ``faults``, which keep their order."""
     fset = frozenset(faults)
     for v in fset:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            raise InvalidParameterError(f"fault vertex {v!r} out of range for order {g.n}")
+        _check_vertex(v, g.n)
     return _induced(g, [v for v in range(g.n) if v not in fset])
 
 
@@ -249,8 +259,7 @@ def _graph6_text(n: int, bits: int) -> str:
 
 def encode_graph6(g: Graph) -> str:
     """Standard graph6 text for graphs of order <= 62 (single-byte header)."""
-    if g.n > GRAPH6_MAX_ORDER:
-        raise CapacityExceededError(f"graph6 output supports order <= {GRAPH6_MAX_ORDER}, got {g.n}")
+    _check_graph6_order(g.n)
     return _graph6_text(g.n, _pair_bits(g.rows, range(g.n)))
 
 

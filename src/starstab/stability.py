@@ -24,15 +24,8 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, NamedTuple
 
-from .errors import CapacityExceededError, InvalidParameterError
-from .graph import Graph, _check_rk
-
-__all__ = [
-    "StabilityVerdict",
-    "is_stable_general",
-    "is_star_stable",
-    "sparse_complement_guarantees_stable",
-]
+from .errors import CapacityExceededError
+from .graph import Graph, _check_fault_budget, _check_star_size
 
 
 # 27x the largest test decision (37,270 nodes: C34(1,2,3), r = 5, k = 9) and
@@ -142,7 +135,8 @@ def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
     Equivalent to k-fault stability for the r-leaf star pattern: a surviving
     vertex of degree >= r is exactly a star center.
     """
-    _check_rk(r, k)
+    _check_star_size(r)
+    _check_fault_budget(k)
     rows = g.rows
 
     def covered(alive: int, undecided: int, m: int) -> bool:
@@ -172,8 +166,7 @@ def is_stable_general(g: Graph, pattern: Graph, k: int) -> StabilityVerdict:
     """Stability for an arbitrary pattern. A tree node is covered when a copy
     lies among the vertices sure to survive: the decided survivors at an
     inner node, all survivors at a leaf."""
-    if not isinstance(k, int) or k < 0:
-        raise InvalidParameterError(f"fault budget k must be an int >= 0, got {k!r}")
+    _check_fault_budget(k)
     budget = _Budget()
     return _walk(g.n, k, pattern.n, lambda alive, undecided, m: _embeds(
         g.rows, alive & ~undecided if m else alive, pattern, budget), budget)

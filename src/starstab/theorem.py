@@ -19,28 +19,8 @@ from typing import NamedTuple
 
 from .construct import star_stable
 from .errors import InvalidParameterError
-from .graph import (Graph, _check_rk, _check_order, complete, conjunction,
-                    near_complete_regular)
-
-__all__ = [
-    "BOUNDARY_A",
-    "BOUNDARY_B",
-    "CASE_3",
-    "CASE_4",
-    "CONSTRUCTION_G_RK",
-    "EVEN_R_SMALL_K",
-    "ODD_R",
-    "REGULAR_PLUS_TOTAL",
-    "REGULAR_SURVIVOR",
-    "StabCase",
-    "StabResult",
-    "extremal_family",
-    "k0",
-    "k1",
-    "stab_case",
-    "stab_result",
-    "stab_value",
-]
+from .graph import (Graph, _check_fault_budget, _check_order, _check_star_size, complete,
+                    conjunction, near_complete_regular)
 
 ODD_R = "ODD_R"
 EVEN_R_SMALL_K = "EVEN_R_SMALL_K"
@@ -85,7 +65,8 @@ def k0(r: int) -> int:
 
 def stab_case(r: int, k: int) -> StabCase:
     """Dispatch (r, k) to exactly one regime."""
-    _check_rk(r, k)
+    _check_star_size(r)
+    _check_fault_budget(k)
     if r % 2:
         return StabCase(ODD_R, None, None)
     low, high = k1(r), k0(r)
@@ -141,6 +122,6 @@ def _realize(descriptor: str, r: int, k: int) -> Graph:
 def extremal_family(r: int, k: int) -> list[Graph]:
     """All minimum-size stable graphs on r+k+1 vertices, one per iso class,
     in deterministic descriptor order."""
-    _check_rk(r, k)
+    descriptors = stab_result(r, k).extremal_descriptors
     _check_order(r + k + 1)
-    return [_realize(d, r, k) for d in stab_result(r, k).extremal_descriptors]
+    return [_realize(d, r, k) for d in descriptors]

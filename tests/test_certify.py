@@ -344,7 +344,7 @@ class TestCensusEnvelope:
             assert cert.minimality_ok and cert.match, k
 
     def test_certify_refuses_beyond_the_vertex_caps(self):
-        with pytest.raises(CapacityExceededError, match="canonical codes support order <= 62"):
+        with pytest.raises(CapacityExceededError, match="graph6 output supports order <= 62, got 63"):
             certify(3, 59)
         with pytest.raises(CapacityExceededError, match="64-vertex cap"):
             certify(3, 61)
@@ -439,6 +439,20 @@ class TestCertificatePersistence:
         write_certificate(certify(3, 0), path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(SchemaMismatchError):
+            read_certificate(path)
+
+    # Values the JSON loader accepts but the field annotations do not: true and
+    # false are neither integers nor numbers.
+    @pytest.mark.parametrize("field, value", [
+        ("r", 3.5), ("k", "0"), ("claimed_value", True), ("candidates_below", None),
+        ("minimality_ok", 1), ("match", "no"), ("extremal_found", [1, None]),
+        ("extremal_expected", ["C~", 5]), ("elapsed", "0.1"), ("elapsed", False),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, tmp_path, field, value):
+        path = tmp_path / "cert.json"
+        write_certificate(certify(3, 0), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(SchemaMismatchError, match=f"certificate field {field} has the wrong type"):
             read_certificate(path)
 
     def test_refutation_is_persistable(self, tmp_path):

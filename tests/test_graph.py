@@ -299,7 +299,7 @@ class TestIntegerArguments:
             complete(-1)
 
     def test_fault_vertices_must_be_ints(self):
-        with pytest.raises(InvalidParameterError, match="fault vertex 0.5"):
+        with pytest.raises(InvalidParameterError, match="vertex 0.5 out of range for order 3"):
             induced_delete(complete(3), [0.5])
 
     def test_permutation_entries_must_be_ints(self):
@@ -307,15 +307,62 @@ class TestIntegerArguments:
             permute(complete(3), (0.0, 1.0, 2.0))
 
     def test_edge_endpoints_must_be_ints(self):
-        with pytest.raises(InvalidParameterError, match="out of range"):
+        with pytest.raises(InvalidParameterError, match="vertex 1.0 out of range for order 3"):
             from_edges(3, [(0, 1.0)])
-        with pytest.raises(InvalidParameterError, match="cannot add edge"):
+        with pytest.raises(InvalidParameterError, match="vertex 0.0 out of range for order 3"):
             with_edge(empty(3), 0.0, 1)
 
     @pytest.mark.parametrize("build, arg", [(star, 3.5), (star, 4.0), (near_complete_regular, 4.0)])
     def test_builder_counts_must_be_ints(self, build, arg):
         with pytest.raises(InvalidParameterError):
             build(arg)
+
+    # README: a count, order, vertex or label argument that is not an int
+    # raises InvalidParameterError, here a str for each in turn.
+    STR_ARGUMENTS = {
+        "empty": lambda: empty("3"),
+        "complete": lambda: complete("3"),
+        "star": lambda: star("4"),
+        "near_complete_regular": lambda: near_complete_regular("4"),
+        "pad": lambda: pad(complete(3), "5"),
+        "from_edges-n": lambda: from_edges("3", []),
+        "from_edges-vertex": lambda: from_edges(3, [(0, "1")]),
+        "with_edge-u": lambda: with_edge(empty(3), "0", 1),
+        "with_edge-v": lambda: with_edge(empty(3), 0, "1"),
+        "induced_delete": lambda: induced_delete(complete(3), ["0"]),
+        "permute": lambda: permute(complete(3), ("0", "1", "2")),
+        "stab_value-r": lambda: starstab.stab_value("4", 2),
+        "stab_value-k": lambda: starstab.stab_value(4, "2"),
+        "stab_case-r": lambda: starstab.stab_case("4", 2),
+        "stab_case-k": lambda: starstab.stab_case(4, "2"),
+        "stab_result-r": lambda: starstab.stab_result("4", 2),
+        "stab_result-k": lambda: starstab.stab_result(4, "2"),
+        "k0": lambda: starstab.k0("4"),
+        "k1": lambda: starstab.k1("4"),
+        "extremal_family-r": lambda: starstab.extremal_family("4", 2),
+        "extremal_family-k": lambda: starstab.extremal_family(4, "2"),
+        "star_stable-r": lambda: starstab.star_stable("3", 1),
+        "star_stable-k": lambda: starstab.star_stable(3, "1"),
+        "is_star_stable-r": lambda: starstab.is_star_stable(complete(5), "3", 1),
+        "is_star_stable-k": lambda: starstab.is_star_stable(complete(5), 3, "1"),
+        "is_stable_general-k": lambda: starstab.is_stable_general(complete(5), star(3), "1"),
+        "bch_construct-k": lambda: starstab.bch_construct(star(3), "1", (1, 2, 3, 4)),
+        "bch_construct-labels": lambda: starstab.bch_construct(star(3), 1, ("1", "2", "3", "4")),
+        "recovery_embedding": lambda: starstab.recovery_embedding(
+            starstab.bch_construct(star(3), 1, (1, 2, 3, 4)), ["1"]),
+        "graphs_of_order_and_size-n": lambda: next(starstab.graphs_of_order_and_size("8", 3)),
+        "graphs_of_order_and_size-m": lambda: next(starstab.graphs_of_order_and_size(8, "3")),
+        "enumerate_graphs_by_edges-e": lambda: next(starstab.enumerate_graphs_by_edges("3", 4)),
+        "enumerate_graphs_by_edges-max_vertices":
+            lambda: next(starstab.enumerate_graphs_by_edges(3, "4")),
+        "certify-r": lambda: starstab.certify("3", 1),
+        "certify-k": lambda: starstab.certify(3, "1"),
+    }
+
+    @pytest.mark.parametrize("call", STR_ARGUMENTS)
+    def test_str_arguments_are_refused(self, call):
+        with pytest.raises(InvalidParameterError):
+            self.STR_ARGUMENTS[call]()
 
     def test_bools_count_as_ints(self):
         assert empty(True) == empty(1)

@@ -67,6 +67,27 @@ def test_cli_import_leaves_out_dataclasses():
     assert extremal == "('D}o',)"
 
 
+def test_each_input_rule_is_worded_once():
+    # The star size, fault budget, vertex and graph6-order rules are each
+    # checked by one function in graph.py, which every caller uses.
+    text = "".join(path.read_text() for path in Path(starstab.__file__).parent.glob("*.py"))
+    for message in ("star size r must be", "fault budget k must be",
+                    "out of range for order", "graph6 output supports order"):
+        assert text.count(message) == 1, message
+
+
+def test_only_the_package_declares_all():
+    # The package __all__ is the one declaration of the public API.
+    declaring = []
+    for path in sorted(Path(starstab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                declaring.append(path.name)
+    assert declaring == ["__init__.py"]
+
+
 def test_public_names_are_pinned():
     # A change to the public API must edit this list.
     assert sorted(starstab.__all__) == [

@@ -187,7 +187,7 @@ class TestIsStarStable:
             is_star_stable(complete(5), 3, -1)
 
     def test_star_size_must_be_an_int(self):
-        with pytest.raises(InvalidParameterError, match="r and k must be ints"):
+        with pytest.raises(InvalidParameterError, match="star size r must be an int >= 3, got 3.5"):
             is_star_stable(complete(5), 3.5, 1)
 
     def test_witness_is_lexicographically_smallest(self):

@@ -128,7 +128,7 @@ class TestStabValue:
 
 class TestIntegerArguments:
     def test_stab_value_refuses_a_float_r(self):
-        with pytest.raises(InvalidParameterError, match="r and k must be ints"):
+        with pytest.raises(InvalidParameterError, match="star size r must be an int >= 3, got 4.0"):
             stab_value(4.0, 2)
 
     def test_boundary_constants_refuse_a_float_r(self):
