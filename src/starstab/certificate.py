@@ -2,10 +2,10 @@
 
 A certificate file is one JSON object holding every field of
 :class:`Certificate` under its own name, keys sorted, indented by two spaces.
-Reading refuses, with ``SchemaMismatchError``, a file that is not a JSON
-object, a schema version other than ``SCHEMA_VERSION``, a file missing any
-field, and a field without the JSON type of its annotation (code lists are
-arrays of strings; true and false are neither integers nor numbers).
+Reading refuses, with ``SchemaMismatchError``, a file that is not JSON text
+or not an object, a schema version other than ``SCHEMA_VERSION``, a file
+missing any field, and a field without the JSON type of its annotation (code
+lists are arrays of strings; true and false are neither integers nor numbers).
 
 The package imports this module on first use, because ``dataclasses`` would
 otherwise add to the start-up of every CLI call.
@@ -49,7 +49,10 @@ def write_certificate(cert: Certificate, path: str | Path) -> None:
 
 
 def read_certificate(path: str | Path) -> Certificate:
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SchemaMismatchError(f"certificate is not JSON text: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaMismatchError(f"certificate is a JSON {type(payload).__name__}, not an object")
     version = payload.get("schema_version")

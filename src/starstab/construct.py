@@ -89,43 +89,25 @@ def recovery_embedding(instance: LabeledInstance,
 
     Pattern labels are processed in increasing order; each receives the
     smallest surviving result label not yet assigned. With f <= k faults the
-    image of label i always lands in {i..i+f}, and every pattern edge maps to
-    a surviving edge.
+    image of label i always lands in {i..i+f} and is never a fault, so only
+    the pattern edges are checked: a caller-built result may lack one.
     """
-    fset = frozenset(faults)
     k, n = instance.k, instance.pattern.n
-    if len(fset) > k:
-        raise InvalidParameterError(f"{len(fset)} faults exceed the budget k={k}")
     all_labels = range(1, n + k + 1)
-    for f in fset:
+    faults = tuple(faults)
+    for f in faults:
         if not (isinstance(f, int) and f in all_labels):
             raise InvalidParameterError(f"fault label {f} is not a vertex label of the result")
-    survivors = [l for l in all_labels if l not in fset]
-    pairs = tuple((i + 1, survivors[i]) for i in range(n))
-    _validate_embedding(instance, fset, pairs)
-    return pairs
-
-
-def _validate_embedding(
-    instance: LabeledInstance,
-    faults: frozenset,
-    pairs: Sequence[tuple[int, int]],
-) -> None:
-    psi = dict(pairs)
-    images = list(psi.values())
-    if len(set(images)) != len(images):
-        raise InvalidParameterError("embedding must be injective")
-    nfaults = len(faults)
-    for src, dst in pairs:
-        if not src <= dst <= src + nfaults <= src + instance.k or dst in faults:
-            raise InvalidParameterError(
-                f"image of label {src} is {dst}, not a surviving label within the shift bound")
+    fset = frozenset(faults)
+    if len(fset) > k:
+        raise InvalidParameterError(f"{len(fset)} faults exceed the budget k={k}")
+    psi = dict(zip(range(1, n + 1), [l for l in all_labels if l not in fset]))
     labels = instance.labelling
     for u, v in instance.pattern.edges():
-        a, b = psi[labels[u]], psi[labels[v]]
-        if not instance.result.adjacent(a - 1, b - 1):
+        if not instance.result.adjacent(psi[labels[u]] - 1, psi[labels[v]] - 1):
             raise InvalidParameterError(
                 f"pattern edge with labels ({labels[u]}, {labels[v]}) lost under the embedding")
+    return tuple(psi.items())
 
 
 def star_instance(r: int, k: int) -> LabeledInstance:

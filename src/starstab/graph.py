@@ -148,7 +148,11 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on n vertices with the given edges (duplicates are fine)."""
     _check_order(n)
     rows = [0] * n
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"edge {edge!r} is not a pair of vertices") from None
         _check_vertex(u, n)
         _check_vertex(v, n)
         if u == v:
@@ -209,9 +213,10 @@ def complement(g: Graph) -> Graph:
 
 def induced_delete(g: Graph, faults: Iterable[int]) -> Graph:
     """Subgraph induced on the vertices outside ``faults``, which keep their order."""
-    fset = frozenset(faults)
-    for v in fset:
+    faults = tuple(faults)
+    for v in faults:
         _check_vertex(v, g.n)
+    fset = frozenset(faults)
     return _induced(g, [v for v in range(g.n) if v not in fset])
 
 

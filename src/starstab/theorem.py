@@ -86,14 +86,10 @@ def stab_case(r: int, k: int) -> StabCase:
 
 def stab_value(r: int, k: int) -> int:
     """Minimum size of a k-fault star-stable graph on exactly r+k+1 vertices."""
-    case = stab_case(r, k)
-    if case.case_id in (ODD_R, EVEN_R_SMALL_K, BOUNDARY_A, BOUNDARY_B):
-        num = (k + 1) * (2 * r + k)
-    elif case.case_id == CASE_3:
-        num = (r + k) ** 2 - 1
-    else:
-        num = (r + k) ** 2
-    return num // 2
+    if stab_case(r, k).case_id in (CASE_3, CASE_4):
+        # r + k is odd in case 3, so the floor is ((r+k)^2 - 1)/2.
+        return (r + k) ** 2 // 2
+    return (k + 1) * (2 * r + k) // 2
 
 
 _DESCRIPTORS: dict[str, tuple[str, ...]] = {

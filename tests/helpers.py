@@ -22,5 +22,19 @@ def all_labeled_graphs(n):
         yield from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def is_connected(g):
+    if g.n == 0:
+        return True
+    seen = 1
+    frontier = 1
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = g.rows[v] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << g.n) - 1
+
+
 def cycle(n):
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])

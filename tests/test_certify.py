@@ -30,21 +30,7 @@ from starstab import (
     write_certificate,
 )
 from starstab.certify import _connected_reps, _edge_class_reps
-from helpers import all_labeled_graphs
-
-
-def is_connected(g):
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        new = g.rows[v] & ~seen
-        seen |= new
-        frontier |= new
-    return seen == (1 << g.n) - 1
+from helpers import all_labeled_graphs, is_connected
 
 
 def is_connected_support(g):
@@ -453,6 +439,18 @@ class TestCertificatePersistence:
         write_certificate(certify(3, 0), path)
         path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
         with pytest.raises(SchemaMismatchError, match=f"certificate field {field} has the wrong type"):
+            read_certificate(path)
+
+    @pytest.mark.parametrize("text", [
+        lambda text: b"not a certificate",
+        lambda text: text[:len(text) // 2],
+        lambda text: b"\xff" + text,
+    ], ids=["not-json", "truncated", "not-utf8"])
+    def test_undecodable_file_rejected(self, tmp_path, text):
+        path = tmp_path / "cert.json"
+        write_certificate(certify(3, 0), path)
+        path.write_bytes(text(path.read_bytes()))
+        with pytest.raises(SchemaMismatchError, match="^certificate is not JSON text: "):
             read_certificate(path)
 
     def test_refutation_is_persistable(self, tmp_path):

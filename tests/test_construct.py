@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -26,7 +26,7 @@ from starstab import (
     star_stable,
 )
 from starstab.construct import star_instance
-from helpers import random_graph, random_labelling
+from helpers import all_labeled_graphs, is_connected, random_graph, random_labelling
 
 
 WORKED_PATTERN = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
@@ -190,6 +190,10 @@ class TestRecoveryEmbedding:
         with pytest.raises(InvalidParameterError, match="fault label 1.0"):
             recovery_embedding(star_instance(3, 1), [1.0])
 
+    def test_unknown_label_is_named_before_the_budget(self):
+        with pytest.raises(InvalidParameterError, match="^fault label 9 is not a vertex label"):
+            recovery_embedding(star_instance(3, 1), [1, 2, 9])
+
     def test_shift_bound_exhaustive_small(self):
         instance = star_instance(4, 2)
         n_total = instance.result.n
@@ -225,6 +229,33 @@ class TestRecoveryEmbedding:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.startswith("refused: pattern edge with labels (1, 2) lost")
+
+
+def test_recovery_lemma_on_every_small_connected_pattern():
+    # The library checks only that each pattern edge survives; the rest of
+    # the lemma follows from the greedy map and is checked here: for every
+    # connected labelled pattern of order 2-4 under every labelling, k <= 2
+    # and every fault set of size f <= k, the map is injective, avoids the
+    # faults, sends label i into {i..i+f} and keeps every pattern edge.
+    calls = 0
+    for n in range(2, 5):
+        for pattern in filter(is_connected, all_labeled_graphs(n)):
+            for labelling in permutations(range(1, n + 1)):
+                for k in range(3):
+                    instance = bch_construct(pattern, k, labelling)
+                    for size in range(k + 1):
+                        for faults in combinations(range(1, n + k + 1), size):
+                            embedding = recovery_embedding(instance, faults)
+                            psi = dict(embedding)
+                            assert sorted(psi) == list(range(1, n + 1))
+                            assert len(set(psi.values())) == n
+                            assert not set(psi.values()) & set(faults)
+                            assert all(src <= dst <= src + size for src, dst in embedding)
+                            for u, v in pattern.edges():
+                                a, b = psi[labelling[u]], psi[labelling[v]]
+                                assert instance.result.adjacent(a - 1, b - 1)
+                            calls += 1
+    assert calls == 27_008
 
 
 def test_default_star_labelling_center_first():

@@ -364,6 +364,33 @@ class TestIntegerArguments:
         with pytest.raises(InvalidParameterError):
             self.STR_ARGUMENTS[call]()
 
+    # README: the elements of a collection are checked before the collection
+    # is hashed or unpacked, so a list where an element belongs is refused.
+    LIST_ELEMENTS = {
+        "induced_delete": (lambda: induced_delete(complete(3), [[0]]),
+                           r"^vertex \[0\] out of range for order 3$"),
+        "recovery_embedding": (lambda: starstab.recovery_embedding(
+            starstab.bch_construct(star(3), 1, (1, 2, 3, 4)), [[1]]),
+            r"^fault label \[1\] is not a vertex label of the result$"),
+        "from_edges-short": (lambda: from_edges(3, [(0,)]),
+                             r"^edge \(0,\) is not a pair of vertices$"),
+        "from_edges-long": (lambda: from_edges(3, [(0, 1, 2)]),
+                            r"^edge \(0, 1, 2\) is not a pair of vertices$"),
+    }
+
+    @pytest.mark.parametrize("call", LIST_ELEMENTS)
+    def test_list_elements_are_refused(self, call):
+        build, message = self.LIST_ELEMENTS[call]
+        with pytest.raises(InvalidParameterError, match=message):
+            build()
+
+    def test_collections_that_are_not_iterable_raise_type_error(self):
+        # as in any Python API; only the elements are the library's to check
+        with pytest.raises(TypeError):
+            permute(complete(3), 5)
+        with pytest.raises(TypeError):
+            starstab.recovery_embedding(starstab.bch_construct(star(3), 1, (1, 2, 3, 4)), 5)
+
     def test_bools_count_as_ints(self):
         assert empty(True) == empty(1)
         assert permute(complete(2), (True, False)) == complete(2)
