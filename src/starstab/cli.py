@@ -23,7 +23,7 @@ from .theorem import extremal_family, stab_result
 
 
 def _read_graph_file(path: str) -> Graph:
-    return decode_graph6(Path(path).read_text())
+    return decode_graph6(Path(path).read_bytes())
 
 
 def _parse_ints(text: str, error: str) -> tuple[int, ...]:

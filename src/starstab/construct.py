@@ -6,10 +6,10 @@ onto 1..n), the construction appends k spare vertices labelled n+1..n+k and,
 for every pattern edge with labels i and j, inserts all edges between the
 label intervals {i..i+k} and {j..j+k}. The result tolerates any k vertex
 faults: relabelling survivors greedily by smallest free label re-embeds H.
+Recovery refuses an instance whose result is not that expansion.
 
-For star patterns the outcome is independent of the labelling: it is the join
-of a (k+1)-clique with r isolated vertices, produced directly by
-:func:`star_stable`.
+For star patterns the outcome is independent of the labelling: it is the
+join of a (k+1)-clique with r isolated vertices, built by :func:`star_stable`.
 
 Labels are 1-based throughout this module, matching the convention that label
 l sits at internal vertex index l-1 in the result graph.
@@ -40,13 +40,8 @@ class LabeledInstance(NamedTuple):
     result: Graph
 
 
-def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledInstance:
-    """Expand the pattern with k spare vertices under the given labelling.
-
-    The result graph lives on labels 1..n+k (vertex index = label - 1) and its
-    edge set is exactly the union, over pattern edges with labels i and j, of
-    all pairs between {i..i+k} and {j..j+k}.
-    """
+def _expand(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledInstance:
+    """The expansion of :func:`bch_construct`, checked but without its warning."""
     _check_fault_budget(k)
     n = pattern.n
     try:
@@ -56,13 +51,6 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
     if sorted(labelling) != list(range(1, n + 1)):
         raise InvalidParameterError(f"labelling must be a bijection onto 1..{n}, got {labelling}")
     _check_order(n + k)
-    if any(not pattern.rows[v] for v in range(n)):
-        warnings.warn(
-            "pattern has isolated vertices; construction proceeds but "
-            "stability-preservation assumptions do not apply",
-            IsolatedPatternWarning,
-            stacklevel=2,
-        )
     edges = []
     for u, v in pattern.edges():
         i, j = labelling[u], labelling[v]
@@ -71,6 +59,21 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
                 if a != b:
                     edges.append((a - 1, b - 1))
     return LabeledInstance(pattern, k, labelling, from_edges(n + k, edges))
+
+
+def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledInstance:
+    """Expand the pattern with k spare vertices under the given labelling.
+
+    The result graph lives on labels 1..n+k (vertex index = label - 1) and its
+    edge set is exactly the union, over pattern edges with labels i and j, of
+    all pairs between {i..i+k} and {j..j+k}.
+    """
+    instance = _expand(pattern, k, labelling)
+    if not all(pattern.rows):
+        warnings.warn("pattern has isolated vertices; construction proceeds but "
+                      "stability-preservation assumptions do not apply",
+                      IsolatedPatternWarning, stacklevel=2)
+    return instance
 
 
 def star_stable(r: int, k: int) -> Graph:
@@ -88,11 +91,13 @@ def recovery_embedding(instance: LabeledInstance,
     the injective, edge-preserving (pattern label, surviving label) pairs.
 
     Pattern labels are processed in increasing order; each receives the
-    smallest surviving result label not yet assigned. With f <= k faults the
-    image of label i always lands in {i..i+f} and is never a fault, so only
-    the pattern edges are checked: a caller-built result may lack one.
+    smallest surviving result label not yet assigned. The result must be the
+    expansion of the instance's pattern, k and labelling; then, with f <= k
+    faults, label i lands in {i..i+f} and every pattern edge on a result edge.
     """
     k, n = instance.k, instance.pattern.n
+    if _expand(instance.pattern, k, instance.labelling).result != instance.result:
+        raise InvalidParameterError("result is not the expansion of its pattern, k and labelling")
     all_labels = range(1, n + k + 1)
     faults = tuple(faults)
     for f in faults:
@@ -101,13 +106,7 @@ def recovery_embedding(instance: LabeledInstance,
     fset = frozenset(faults)
     if len(fset) > k:
         raise InvalidParameterError(f"{len(fset)} faults exceed the budget k={k}")
-    psi = dict(zip(range(1, n + 1), [l for l in all_labels if l not in fset]))
-    labels = instance.labelling
-    for u, v in instance.pattern.edges():
-        if not instance.result.adjacent(psi[labels[u]] - 1, psi[labels[v]] - 1):
-            raise InvalidParameterError(
-                f"pattern edge with labels ({labels[u]}, {labels[v]}) lost under the embedding")
-    return tuple(psi.items())
+    return tuple(zip(range(1, n + 1), [l for l in all_labels if l not in fset]))
 
 
 def star_instance(r: int, k: int) -> LabeledInstance:

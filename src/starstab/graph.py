@@ -275,7 +275,7 @@ def decode_graph6(text: str | bytes) -> Graph:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise Graph6ParseError("graph6 input is not ASCII") from exc
-    s = text.strip()
+    s = text.strip(" \t\n\r\v\f")  # string.whitespace: ASCII whitespace only
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:

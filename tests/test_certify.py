@@ -373,15 +373,33 @@ class TestCertify:
 
 
 class TestCensusWorkBudget:
-    # one census may try MAX_CENSUS_WORK augmentation candidates, counted from
-    # the level sizes alone, so the check does not depend on the level caches
-    def test_census_of_exactly_the_budget_runs(self, monkeypatch):
+    # One census may try MAX_CENSUS_WORK augmentation candidates, counted from
+    # the level sizes alone, so the check does not depend on the level caches.
+    # The count must equal the candidates a cold build actually tries: the
+    # _new_edge_is_largest calls with both level caches empty. Fresh caches
+    # stand in for the module's own, which other tests keep warm.
+    @pytest.mark.parametrize("n, m, work, classes", [
+        (8, 14, 83_935, 1646), (9, 9, 7_811, 771), (16, 9, 8_234, 1474),
+    ], ids=["14-edges-order-8", "9-edges-order-9", "9-edges-order-16"])
+    def test_census_of_exactly_the_budget_runs(self, monkeypatch, n, m, work, classes):
         census = importlib.import_module("starstab.certify")
-        monkeypatch.setattr(census, "MAX_CENSUS_WORK", 83_935)
-        assert len(list(graphs_of_order_and_size(8, 14))) == 1646
-        monkeypatch.setattr(census, "MAX_CENSUS_WORK", 83_934)
-        with pytest.raises(CapacityExceededError, match="14 census edges at order 8"):
-            next(graphs_of_order_and_size(8, 14))
+        calls = 0
+        new_edge_is_largest = census._new_edge_is_largest
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return new_edge_is_largest(*args)
+
+        monkeypatch.setattr(census, "_new_edge_is_largest", counted)
+        monkeypatch.setattr(census, "MAX_CENSUS_WORK", work)
+        for name in ("_connected_reps", "_edge_class_reps"):
+            monkeypatch.setattr(census, name, lru_cache(getattr(census, name).__wrapped__))
+        assert len(list(graphs_of_order_and_size(n, m))) == classes
+        assert calls == work
+        monkeypatch.setattr(census, "MAX_CENSUS_WORK", work - 1)
+        with pytest.raises(CapacityExceededError, match=f"{m} census edges at order {n}"):
+            next(graphs_of_order_and_size(n, m))
 
     def test_certify_serves_eleven_edges_at_order_nine(self):
         # 11 census edges at order 9 below the claimed size: 58,835 candidates

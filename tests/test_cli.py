@@ -73,6 +73,12 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert err == "error: labelling must be a bijection onto 1..4, got (1, 2, 3)\n"
 
+    def test_labelling_that_is_not_integers(self, capsys):
+        code, out, err = run(capsys, "construct", "--r", "3", "--k", "1",
+                             "--labelling", "a,b")
+        assert (code, out) == (2, "")
+        assert err == "error: labelling must be comma-separated integers, got 'a,b'\n"
+
 
 class TestVerify:
     def test_stable_star_instance(self, capsys, tmp_path):
@@ -292,6 +298,11 @@ class TestRecover:
         code, _, err = run(capsys, "recover", "--r", "3", "--k", "1", "--faults", "1,2")
         assert code == 2
 
+    def test_faults_that_are_not_integers(self, capsys):
+        code, out, err = run(capsys, "recover", "--r", "3", "--k", "1", "--faults", "1,x")
+        assert (code, out) == (2, "")
+        assert err == "error: faults must be comma-separated labels, got '1,x'\n"
+
 
 class TestEnumerate:
     def test_line_per_class(self, capsys):
@@ -344,6 +355,17 @@ class TestEnumerate:
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "6783dbc2afdfcbf10bf99434e508cce70e4949c0fc9e146af6d6906a62eb6816")
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--pattern", "{}", "--k", "1"),
+    ("verify", "--graph", "{}", "--r", "3", "--k", "1"),
+], ids=["construct", "verify"])
+def test_graph_file_that_is_not_ascii_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "g.g6"
+    path.write_bytes(b"C\xff\n")
+    code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+    assert (code, out, err) == (2, "", "error: graph6 input is not ASCII\n")
 
 
 def test_unknown_subcommand_exits_2():

@@ -26,7 +26,7 @@ from starstab import (
     star_stable,
 )
 from starstab.construct import star_instance
-from helpers import all_labeled_graphs, is_connected, random_graph, random_labelling
+from helpers import all_labeled_graphs, random_graph, random_labelling
 
 
 WORKED_PATTERN = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
@@ -194,6 +194,25 @@ class TestRecoveryEmbedding:
         with pytest.raises(InvalidParameterError, match="^fault label 9 is not a vertex label"):
             recovery_embedding(star_instance(3, 1), [1, 2, 9])
 
+    # The result must be the expansion of the instance's own pattern, k and
+    # labelling; a bad labelling is refused by the construction's own check.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda i: i._replace(labelling=(0, 1, 2, 3)),
+         "labelling must be a bijection onto 1..4, got (0, 1, 2, 3)"),
+        (lambda i: i._replace(labelling=(1, 2, 3)),
+         "labelling must be a bijection onto 1..4, got (1, 2, 3)"),
+        (lambda i: i._replace(result=from_edges(5, [*i.result.edges(), (3, 4)])),
+         "result is not the expansion of its pattern, k and labelling"),
+        (lambda i: i._replace(result=from_edges(5, list(i.result.edges())[1:])),
+         "result is not the expansion of its pattern, k and labelling"),
+        (lambda i: i._replace(k=0),
+         "result is not the expansion of its pattern, k and labelling"),
+    ], ids=["label-zero", "short-labelling", "extra-edge", "missing-edge", "other-k"])
+    def test_instance_that_is_not_its_expansion(self, edit, message):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            recovery_embedding(edit(star_instance(3, 1)), [])
+        assert str(excinfo.value) == message
+
     def test_shift_bound_exhaustive_small(self):
         instance = star_instance(4, 2)
         n_total = instance.result.n
@@ -228,21 +247,29 @@ class TestRecoveryEmbedding:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.startswith("refused: pattern edge with labels (1, 2) lost")
+        assert proc.stdout == ("refused: result is not the expansion of its pattern, "
+                               "k and labelling\n")
 
 
+@pytest.mark.filterwarnings("error::starstab.construct.IsolatedPatternWarning")
 def test_recovery_lemma_on_every_small_connected_pattern():
-    # The library checks only that each pattern edge survives; the rest of
-    # the lemma follows from the greedy map and is checked here: for every
-    # connected labelled pattern of order 2-4 under every labelling, k <= 2
-    # and every fault set of size f <= k, the map is injective, avoids the
-    # faults, sends label i into {i..i+f} and keeps every pattern edge.
+    # The library checks only that the result is the expansion of its own
+    # pattern, k and labelling; the lemma on such a result is checked here:
+    # for every labelled pattern of order 1-4 (disconnected ones and ones with
+    # isolated vertices included) under every labelling, k <= 2 and every
+    # fault set of size f <= k, the map is injective, avoids the faults, sends
+    # label i into {i..i+f} and keeps every pattern edge. Only the
+    # construction warns about isolated vertices; recovery never warns.
     calls = 0
-    for n in range(2, 5):
-        for pattern in filter(is_connected, all_labeled_graphs(n)):
+    for n in range(1, 5):
+        for pattern in all_labeled_graphs(n):
             for labelling in permutations(range(1, n + 1)):
                 for k in range(3):
-                    instance = bch_construct(pattern, k, labelling)
+                    if all(pattern.rows):
+                        instance = bch_construct(pattern, k, labelling)
+                    else:
+                        with pytest.warns(IsolatedPatternWarning):
+                            instance = bch_construct(pattern, k, labelling)
                     for size in range(k + 1):
                         for faults in combinations(range(1, n + k + 1), size):
                             embedding = recovery_embedding(instance, faults)
@@ -255,7 +282,7 @@ def test_recovery_lemma_on_every_small_connected_pattern():
                                 a, b = psi[labelling[u]], psi[labelling[v]]
                                 assert instance.result.adjacent(a - 1, b - 1)
                             calls += 1
-    assert calls == 27_008
+    assert calls == 45_675
 
 
 def test_default_star_labelling_center_first():

@@ -425,9 +425,21 @@ class TestGraph6:
         with pytest.raises(CapacityExceededError):
             encode_graph6(empty(63))
 
-    @pytest.mark.parametrize("bad", ["", "~??", "C", "C~~", "C" + chr(30), chr(20)])
+    # Only ASCII whitespace is stripped, so chr(30) and chr(31) reach the checks.
+    PARSE_ERRORS = {
+        "": "^empty graph6 string$",
+        "~??": "^long-form graph6 headers",
+        "C": "^graph6 body has 0 bytes, expected 1$",
+        "C~~": "^graph6 body has 2 bytes, expected 1$",
+        "C" + chr(30): "^graph6 body byte 30 out of range$",
+        chr(20): "^bad graph6 header byte 20$",
+        "C~\x1f": "^graph6 body has 2 bytes, expected 1$",
+        b"C\xff": "^graph6 input is not ASCII$",
+    }
+
+    @pytest.mark.parametrize("bad", PARSE_ERRORS)
     def test_parse_errors(self, bad):
-        with pytest.raises(Graph6ParseError):
+        with pytest.raises(Graph6ParseError, match=self.PARSE_ERRORS[bad]):
             decode_graph6(bad)
 
     def test_nonzero_padding_rejected(self):
