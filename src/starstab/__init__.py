@@ -10,7 +10,6 @@ isomorph-free enumeration at desk scale.
 from .canon import canonical_form
 from .certify import certify, enumerate_graphs_by_edges, graphs_of_order_and_size
 from .construct import (
-    IsolatedPatternWarning,
     LabeledInstance,
     bch_construct,
     recovery_embedding,
@@ -62,7 +61,6 @@ __all__ = [
     "Graph",
     "Graph6ParseError",
     "InvalidParameterError",
-    "IsolatedPatternWarning",
     "LabeledInstance",
     "SchemaMismatchError",
     "StabCase",

@@ -26,11 +26,18 @@ def _read_graph_file(path: str) -> Graph:
     return decode_graph6(Path(path).read_bytes())
 
 
+def _int(text: str) -> int:
+    """An optional ASCII '-' then ASCII digits; int() alone also reads '1_0' and ' 4'."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_ints(text: str, error: str) -> tuple[int, ...]:
     """The integers of a comma-separated list; otherwise StarstabError names ``error``."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(map(_int, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise StarstabError(f"{error}, got {text!r}")
 
 
@@ -39,15 +46,10 @@ def _emit(obj) -> None:
 
 
 def _cmd_construct(args) -> int:
-    if args.pattern is not None:
-        pattern = _read_graph_file(args.pattern)
-    else:
-        pattern = star(args.r)
-    labelling = (
-        _parse_ints(args.labelling, "labelling must be comma-separated integers")
-        if args.labelling is not None
-        else tuple(range(1, pattern.n + 1))
-    )
+    pattern = star(args.r) if args.pattern is None else _read_graph_file(args.pattern)
+    labelling = tuple(range(1, pattern.n + 1))
+    if args.labelling is not None:
+        labelling = _parse_ints(args.labelling, "labelling must be comma-separated integers")
     instance = bch_construct(pattern, args.k, labelling)
     print(encode_graph6(instance.result))
     if args.dot:
@@ -137,9 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="spare-vertex expansion of a pattern")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--r", type=int, help="number of star leaves")
+    mode.add_argument("--r", type=_int, help="number of star leaves")
     mode.add_argument("--pattern", help="graph6 file with the pattern graph")
-    p.add_argument("--k", type=int, required=True, help="fault budget")
+    p.add_argument("--k", type=_int, required=True, help="fault budget")
     p.add_argument("--labelling", help="comma-separated labels in pattern-vertex order")
     p.add_argument("--dot", action="store_true", help="also print DOT (1-based labels)")
     p.set_defaults(func=_cmd_construct)
@@ -147,37 +149,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="decide k-fault stability of a graph")
     p.add_argument("--graph", required=True, help="graph6 file to check")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--r", type=int, help="number of star leaves")
+    mode.add_argument("--r", type=_int, help="number of star leaves")
     mode.add_argument("--pattern", help="graph6 file with a general pattern")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stab", help="minimum stable size and extremal family")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.set_defaults(func=_cmd_stab)
 
     p = sub.add_parser("extremal", help="write one graph6 file per extremal graph")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("certify", help="exhaustive minimality/extremal certification")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--out", required=True, help="certificate JSON path")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("recover", help="greedy re-embedding after faults")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--faults", required=True, help="comma-separated 1-based fault labels")
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("enumerate", help="iso-class census by edge count")
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, required=True)
+    p.add_argument("--edges", type=_int, required=True)
+    p.add_argument("--max-vertices", type=_int, required=True)
     p.set_defaults(func=_cmd_enumerate)
 
     return parser

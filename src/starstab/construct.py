@@ -4,9 +4,9 @@ Given a pattern graph H on n vertices, a fault budget k and a labelling, the
 tuple of labels whose entry v is the label of pattern vertex v (a bijection
 onto 1..n), the construction appends k spare vertices labelled n+1..n+k and,
 for every pattern edge with labels i and j, inserts all edges between the
-label intervals {i..i+k} and {j..j+k}. The result tolerates any k vertex
-faults: relabelling survivors greedily by smallest free label re-embeds H.
-Recovery refuses an instance whose result is not that expansion.
+label intervals {i..i+k} and {j..j+k}. For every H, isolated vertices
+included, the result tolerates any k vertex faults: relabelling survivors
+greedily by smallest free label re-embeds H. Recovery refuses any other result.
 
 For star patterns the outcome is independent of the labelling: it is the
 join of a (k+1)-clique with r isolated vertices, built by :func:`star_stable`.
@@ -18,17 +18,11 @@ l sits at internal vertex index l-1 in the result graph.
 from __future__ import annotations
 
 import operator
-import warnings
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
 from .graph import (Graph, _check_fault_budget, _check_order, _check_star_size, complete,
                     conjunction, empty, from_edges, star)
-
-
-class IsolatedPatternWarning(UserWarning):
-    """The pattern has isolated vertices; the construction still works, but
-    stability-preservation arguments that assume none do not apply."""
 
 
 class LabeledInstance(NamedTuple):
@@ -40,8 +34,13 @@ class LabeledInstance(NamedTuple):
     result: Graph
 
 
-def _expand(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledInstance:
-    """The expansion of :func:`bch_construct`, checked but without its warning."""
+def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledInstance:
+    """Expand the pattern with k spare vertices under the given labelling.
+
+    The result graph lives on labels 1..n+k (vertex index = label - 1) and its
+    edge set is exactly the union, over pattern edges with labels i and j, of
+    all pairs between {i..i+k} and {j..j+k}.
+    """
     _check_fault_budget(k)
     n = pattern.n
     try:
@@ -59,21 +58,6 @@ def _expand(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledInstance
                 if a != b:
                     edges.append((a - 1, b - 1))
     return LabeledInstance(pattern, k, labelling, from_edges(n + k, edges))
-
-
-def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledInstance:
-    """Expand the pattern with k spare vertices under the given labelling.
-
-    The result graph lives on labels 1..n+k (vertex index = label - 1) and its
-    edge set is exactly the union, over pattern edges with labels i and j, of
-    all pairs between {i..i+k} and {j..j+k}.
-    """
-    instance = _expand(pattern, k, labelling)
-    if not all(pattern.rows):
-        warnings.warn("pattern has isolated vertices; construction proceeds but "
-                      "stability-preservation assumptions do not apply",
-                      IsolatedPatternWarning, stacklevel=2)
-    return instance
 
 
 def star_stable(r: int, k: int) -> Graph:
@@ -96,7 +80,7 @@ def recovery_embedding(instance: LabeledInstance,
     faults, label i lands in {i..i+f} and every pattern edge on a result edge.
     """
     k, n = instance.k, instance.pattern.n
-    if _expand(instance.pattern, k, instance.labelling).result != instance.result:
+    if bch_construct(instance.pattern, k, instance.labelling).result != instance.result:
         raise InvalidParameterError("result is not the expansion of its pattern, k and labelling")
     all_labels = range(1, n + k + 1)
     faults = tuple(faults)

@@ -357,6 +357,57 @@ class TestEnumerate:
             "6783dbc2afdfcbf10bf99434e508cce70e4949c0fc9e146af6d6906a62eb6816")
 
 
+class TestIntegerArguments:
+    # An integer argument is an optional ASCII '-' then ASCII digits; int()
+    # alone also reads underscores, surrounding whitespace and other digits.
+    @pytest.mark.parametrize("argv, refused", [
+        (("stab", "--r", "\u0664", "--k", "1"), "--r: invalid int value: '\u0664'"),
+        (("stab", "--r", "4", "--k", "1_0"), "--k: invalid int value: '1_0'"),
+        (("stab", "--r", " 4", "--k", "1"), "--r: invalid int value: ' 4'"),
+        (("construct", "--r", "3", "--k", "1 "), "--k: invalid int value: '1 '"),
+        (("verify", "--graph", "g.g6", "--r", "3", "--k", "+1"), "--k: invalid int value: '+1'"),
+        (("enumerate", "--edges", "3", "--max-vertices", "4_0"),
+         "--max-vertices: invalid int value: '4_0'"),
+        (("enumerate", "--edges", "", "--max-vertices", "4"), "--edges: invalid int value: ''"),
+    ])
+    def test_scalar_refused_by_the_parser(self, capsys, argv, refused):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {refused}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("recover", "--r", "3", "--k", "1", "--faults", "\u0661,2"),
+         "faults must be comma-separated labels, got '\u0661,2'"),
+        (("recover", "--r", "3", "--k", "1", "--faults", "1_0"),
+         "faults must be comma-separated labels, got '1_0'"),
+        (("recover", "--r", "3", "--k", "1", "--faults", "1, 2"),
+         "faults must be comma-separated labels, got '1, 2'"),
+        (("construct", "--r", "3", "--k", "1", "--labelling", "\uff11,2,3,4"),
+         "labelling must be comma-separated integers, got '\uff11,2,3,4'"),
+        (("construct", "--r", "3", "--k", "1", "--labelling", "1,-,3,4"),
+         "labelling must be comma-separated integers, got '1,-,3,4'"),
+        (("stab", "--r", "4", "--k", "-1"), "fault budget k must be an int >= 0, got -1"),
+    ])
+    def test_list_and_library_refusals_keep_their_messages(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("policy", ["default", "error"])
+def test_isolated_pattern_round_trip(tmp_path, monkeypatch, policy):
+    # a pattern with isolated vertices is expanded like any other, silently
+    monkeypatch.setenv("PYTHONWARNINGS", policy)  # "error" is python -W error
+    pattern, host = tmp_path / "h.g6", tmp_path / "g.g6"
+    pattern.write_text("C@\n")  # one edge and two isolated vertices
+    proc = run_cli_subprocess("construct", "--pattern", str(pattern), "--k", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "D@K\n", "")
+    host.write_text(proc.stdout)
+    proc = run_cli_subprocess("verify", "--graph", str(host), "--pattern", str(pattern),
+                              "--k", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["stable"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--pattern", "{}", "--k", "1"),
     ("verify", "--graph", "{}", "--r", "3", "--k", "1"),

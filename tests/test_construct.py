@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import textwrap
-import warnings
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -13,7 +12,6 @@ import starstab
 from starstab import (
     CapacityExceededError,
     InvalidParameterError,
-    IsolatedPatternWarning,
     bch_construct,
     canonical_form,
     complete,
@@ -75,9 +73,7 @@ class TestBchConstruct:
         for _ in range(15):
             n = rng.randrange(2, 7)
             pattern = random_graph(rng, n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IsolatedPatternWarning)
-                instance = bch_construct(pattern, 0, random_labelling(rng, n))
+            instance = bch_construct(pattern, 0, random_labelling(rng, n))
             assert canonical_form(instance.result) == canonical_form(pattern)
 
     def test_interval_edges_all_present(self):
@@ -87,9 +83,7 @@ class TestBchConstruct:
             k = rng.randrange(0, 3)
             pattern = random_graph(rng, n, 0.6)
             labelling = random_labelling(rng, n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IsolatedPatternWarning)
-                instance = bch_construct(pattern, k, labelling)
+            instance = bch_construct(pattern, k, labelling)
             assert instance.result.n == n + k
             for u, v in pattern.edges():
                 i, j = labelling[u], labelling[v]
@@ -97,10 +91,6 @@ class TestBchConstruct:
                     for b in range(j, j + k + 1):
                         if a != b:
                             assert instance.result.adjacent(a - 1, b - 1)
-
-    def test_isolated_pattern_warns(self):
-        with pytest.warns(IsolatedPatternWarning):
-            bch_construct(empty(3), 1, (1, 2, 3))
 
     def test_negative_budget_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -251,25 +241,19 @@ class TestRecoveryEmbedding:
                                "k and labelling\n")
 
 
-@pytest.mark.filterwarnings("error::starstab.construct.IsolatedPatternWarning")
 def test_recovery_lemma_on_every_small_connected_pattern():
     # The library checks only that the result is the expansion of its own
     # pattern, k and labelling; the lemma on such a result is checked here:
     # for every labelled pattern of order 1-4 (disconnected ones and ones with
     # isolated vertices included) under every labelling, k <= 2 and every
     # fault set of size f <= k, the map is injective, avoids the faults, sends
-    # label i into {i..i+f} and keeps every pattern edge. Only the
-    # construction warns about isolated vertices; recovery never warns.
+    # label i into {i..i+f} and keeps every pattern edge.
     calls = 0
     for n in range(1, 5):
         for pattern in all_labeled_graphs(n):
             for labelling in permutations(range(1, n + 1)):
                 for k in range(3):
-                    if all(pattern.rows):
-                        instance = bch_construct(pattern, k, labelling)
-                    else:
-                        with pytest.warns(IsolatedPatternWarning):
-                            instance = bch_construct(pattern, k, labelling)
+                    instance = bch_construct(pattern, k, labelling)
                     for size in range(k + 1):
                         for faults in combinations(range(1, n + k + 1), size):
                             embedding = recovery_embedding(instance, faults)

@@ -59,6 +59,8 @@ class TestGraphType:
     def test_rejects_rows_that_are_not_ints(self):
         with pytest.raises(InvalidParameterError, match="row 0 is not an int"):
             Graph(2, (1.5, 0))
+        with pytest.raises(InvalidParameterError, match="adjacency row count does not match order"):
+            Graph(2, (0,))
 
     def test_from_edges_rejects_loop_and_range(self):
         with pytest.raises(InvalidParameterError):

@@ -88,11 +88,28 @@ def test_only_the_package_declares_all():
     assert declaring == ["__init__.py"]
 
 
+def test_no_module_imports_warnings():
+    # The library has no warning channel: each input is served or refused
+    # with an error, so nothing can turn into a failure under -W error.
+    importing = []
+    for path in sorted(Path(starstab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "warnings" for name in names):
+                importing.append(f"{path.name}:{node.lineno}")
+    assert importing == []
+
+
 def test_public_names_are_pinned():
     # A change to the public API must edit this list.
     assert sorted(starstab.__all__) == [
         "CapacityExceededError", "Certificate", "Graph", "Graph6ParseError",
-        "InvalidParameterError", "IsolatedPatternWarning", "LabeledInstance",
+        "InvalidParameterError", "LabeledInstance",
         "SchemaMismatchError", "StabCase", "StabResult", "StabilityVerdict", "StarstabError",
         "bch_construct", "canonical_form", "certify", "complement", "complete", "conjunction",
         "decode_graph6", "empty", "encode_graph6",
