@@ -45,7 +45,6 @@ from .stability import (
     is_star_stable,
 )
 from .theorem import (
-    StabCase,
     StabResult,
     extremal_family,
     k0,
@@ -63,7 +62,6 @@ __all__ = [
     "InvalidParameterError",
     "LabeledInstance",
     "SchemaMismatchError",
-    "StabCase",
     "StabResult",
     "StabilityVerdict",
     "StarstabError",

@@ -141,7 +141,8 @@ def _edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
 def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
     """One representative per iso class with e edges fitting in max_vertices,
     canonically labelled on its non-isolated vertices, padded with isolated
-    vertices to order max_vertices, and sorted by canonical code."""
+    vertices to order max_vertices, and sorted by canonical code. Arguments
+    are checked at the first next()."""
     padded = []
     for g in graphs_of_order_and_size(max_vertices, e):
         core = induced_delete(g, [v for v in range(g.n) if not g.rows[v]])
@@ -160,10 +161,11 @@ def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     with e edges in all; these are ordered by edge count, then by canonical
     code, and the multisets come in lexicographic order of their
     non-decreasing index lists. Representatives are not canonically labelled.
+    Arguments are checked at the first next().
     """
     _check_order(n)
     if not (isinstance(m, int) and 0 <= m <= comb(n, 2)):
-        raise InvalidParameterError(f"size {m} impossible at order {n}")
+        raise InvalidParameterError(f"size {m!r} impossible at order {n}")
     e = min(m, comb(n, 2) - m)
     cap, work = min(n, 2 * e), 0
     for j in range(2, e + 1):  # level j adds a non-edge or a pendant edge to level j-1

@@ -76,10 +76,10 @@ def _cmd_stab(args) -> int:
     _emit({
         "r": result.r,
         "k": result.k,
-        "case": result.case.case_id,
+        "case": result.case,
         "value": result.value,
-        "k0": result.case.k0,
-        "k1": result.case.k1,
+        "k0": result.k0,
+        "k1": result.k1,
         "extremal": [canonical_form(g) for g in extremal_family(args.r, args.k)],
     })
     return 0

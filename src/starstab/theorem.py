@@ -11,6 +11,8 @@ where the boundary constants for even r are k1 = (r-1)^2 - 2 and
 k0 = (r-1)^2. The extremal graphs are the spare-vertex construction, the
 complement of a perfect matching, or the latter joined with one total vertex;
 at k = k1 and k = k1 + 1 two distinct extremal graphs coexist.
+
+``stab_result`` decides the regime once; the other functions read its record.
 """
 
 from __future__ import annotations
@@ -34,19 +36,14 @@ REGULAR_SURVIVOR = "REGULAR_SURVIVOR"
 REGULAR_PLUS_TOTAL = "REGULAR_PLUS_TOTAL"
 
 
-class StabCase(NamedTuple):
-    """Which regime an (r, k) instance falls into; boundary constants are
-    carried along for even r and are None for odd r."""
-
-    case_id: str
-    k0: int | None
-    k1: int | None
-
-
 class StabResult(NamedTuple):
+    """The regime of (r, k), its value and extremal descriptors; k0 and k1 are None for odd r."""
+
     r: int
     k: int
-    case: StabCase
+    case: str
+    k0: int | None
+    k1: int | None
     value: int
     extremal_descriptors: tuple[str, ...]
 
@@ -54,7 +51,7 @@ class StabResult(NamedTuple):
 def k1(r: int) -> int:
     """Lower boundary constant (r-1)^2 - 2 for even r; odd for even r."""
     if not isinstance(r, int) or r < 4 or r % 2:
-        raise InvalidParameterError(f"boundary constants apply to even r >= 4, got {r}")
+        raise InvalidParameterError(f"boundary constants apply to even r >= 4, got {r!r}")
     return (r - 1) ** 2 - 2
 
 
@@ -63,48 +60,36 @@ def k0(r: int) -> int:
     return k1(r) + 2
 
 
-def stab_case(r: int, k: int) -> StabCase:
-    """Dispatch (r, k) to exactly one regime."""
+def stab_result(r: int, k: int) -> StabResult:
+    """Dispatch (r, k) to exactly one regime, with its value and extremal graphs."""
     _check_star_size(r)
     _check_fault_budget(k)
+    value = (k + 1) * (2 * r + k) // 2
     if r % 2:
-        return StabCase(ODD_R, None, None)
+        return StabResult(r, k, ODD_R, None, None, value, (CONSTRUCTION_G_RK,))
     low, high = k1(r), k0(r)
     if k < low:
-        case_id = EVEN_R_SMALL_K
+        case, descriptors = EVEN_R_SMALL_K, (CONSTRUCTION_G_RK,)
     elif k == low:
-        case_id = BOUNDARY_A
+        case, descriptors = BOUNDARY_A, (CONSTRUCTION_G_RK, REGULAR_SURVIVOR)
     elif k == low + 1:
-        case_id = BOUNDARY_B
+        case, descriptors = BOUNDARY_B, (CONSTRUCTION_G_RK, REGULAR_PLUS_TOTAL)
     elif k % 2:
-        # high = low + 2 and low is odd, so every k left here is >= high.
-        case_id = CASE_3
+        # Every k left is >= high, as low is odd; r + k is odd in case 3, so // floors.
+        case, value, descriptors = CASE_3, (r + k) ** 2 // 2, (REGULAR_SURVIVOR,)
     else:
-        case_id = CASE_4
-    return StabCase(case_id, high, low)
+        case, value, descriptors = CASE_4, (r + k) ** 2 // 2, (REGULAR_PLUS_TOTAL,)
+    return StabResult(r, k, case, high, low, value, descriptors)
+
+
+def stab_case(r: int, k: int) -> str:
+    """The regime id of (r, k)."""
+    return stab_result(r, k).case
 
 
 def stab_value(r: int, k: int) -> int:
     """Minimum size of a k-fault star-stable graph on exactly r+k+1 vertices."""
-    if stab_case(r, k).case_id in (CASE_3, CASE_4):
-        # r + k is odd in case 3, so the floor is ((r+k)^2 - 1)/2.
-        return (r + k) ** 2 // 2
-    return (k + 1) * (2 * r + k) // 2
-
-
-_DESCRIPTORS: dict[str, tuple[str, ...]] = {
-    ODD_R: (CONSTRUCTION_G_RK,),
-    EVEN_R_SMALL_K: (CONSTRUCTION_G_RK,),
-    BOUNDARY_A: (CONSTRUCTION_G_RK, REGULAR_SURVIVOR),
-    BOUNDARY_B: (CONSTRUCTION_G_RK, REGULAR_PLUS_TOTAL),
-    CASE_3: (REGULAR_SURVIVOR,),
-    CASE_4: (REGULAR_PLUS_TOTAL,),
-}
-
-
-def stab_result(r: int, k: int) -> StabResult:
-    case = stab_case(r, k)
-    return StabResult(r, k, case, stab_value(r, k), _DESCRIPTORS[case.case_id])
+    return stab_result(r, k).value
 
 
 def _realize(descriptor: str, r: int, k: int) -> Graph:

@@ -196,6 +196,24 @@ class TestStab:
         assert payload["case"] == "ODD_R"
         assert payload["k0"] is None and payload["k1"] is None
 
+    # One instance of each regime, with its exact stdout.
+    @pytest.mark.parametrize("r, k, line", [
+        (3, 2, '{"case": "ODD_R", "extremal": ["E~z_"], "k": 2, "k0": null, "k1": null, '
+               '"r": 3, "value": 12}'),
+        (4, 2, '{"case": "EVEN_R_SMALL_K", "extremal": ["F~zf?"], "k": 2, "k0": 9, "k1": 7, '
+               '"r": 4, "value": 15}'),
+        (4, 7, '{"case": "BOUNDARY_A", "extremal": ["K~~~~~~~v}^w", "K~~~vnnv|~n~"], "k": 7, '
+               '"k0": 9, "k1": 7, "r": 4, "value": 60}'),
+        (4, 8, '{"case": "BOUNDARY_B", "extremal": ["L~~~~~~~~~^{~w", "L~~~~zz|~^z~n~"], '
+               '"k": 8, "k0": 9, "k1": 7, "r": 4, "value": 72}'),
+        (4, 9, '{"case": "CASE_3", "extremal": ["M~~~~zz|~^z~n~^~_"], "k": 9, "k0": 9, '
+               '"k1": 7, "r": 4, "value": 84}'),
+        (4, 10, '{"case": "CASE_4", "extremal": ["N~~~~~}~^v}~z~v~v~w"], "k": 10, "k0": 9, '
+                '"k1": 7, "r": 4, "value": 98}'),
+    ], ids=["ODD_R", "EVEN_R_SMALL_K", "BOUNDARY_A", "BOUNDARY_B", "CASE_3", "CASE_4"])
+    def test_stdout_is_pinned_in_each_regime(self, capsys, r, k, line):
+        assert run(capsys, "stab", "--r", str(r), "--k", str(k)) == (0, line + "\n", "")
+
     def test_invalid_parameters_exit_2(self, capsys):
         code, out, err = run(capsys, "stab", "--r", "2", "--k", "0")
         assert code == 2

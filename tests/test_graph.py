@@ -366,6 +366,19 @@ class TestIntegerArguments:
         with pytest.raises(InvalidParameterError):
             self.STR_ARGUMENTS[call]()
 
+    # The message shows the repr of the argument, so a str does not read as an int.
+    STR_MESSAGES = {
+        "k0": r"^boundary constants apply to even r >= 4, got '4'$",
+        "k1": r"^boundary constants apply to even r >= 4, got '4'$",
+        "graphs_of_order_and_size-m": r"^size '3' impossible at order 8$",
+        "enumerate_graphs_by_edges-e": r"^size '3' impossible at order 4$",
+    }
+
+    @pytest.mark.parametrize("call", STR_MESSAGES)
+    def test_str_argument_messages_show_the_repr(self, call):
+        with pytest.raises(InvalidParameterError, match=self.STR_MESSAGES[call]):
+            self.STR_ARGUMENTS[call]()
+
     # README: the elements of a collection are checked before the collection
     # is hashed or unpacked, so a list where an element belongs is refused.
     LIST_ELEMENTS = {

@@ -110,7 +110,7 @@ def test_public_names_are_pinned():
     assert sorted(starstab.__all__) == [
         "CapacityExceededError", "Certificate", "Graph", "Graph6ParseError",
         "InvalidParameterError", "LabeledInstance",
-        "SchemaMismatchError", "StabCase", "StabResult", "StabilityVerdict", "StarstabError",
+        "SchemaMismatchError", "StabResult", "StabilityVerdict", "StarstabError",
         "bch_construct", "canonical_form", "certify", "complement", "complete", "conjunction",
         "decode_graph6", "empty", "encode_graph6",
         "enumerate_graphs_by_edges", "export_dot", "extremal_family", "from_edges",

@@ -54,25 +54,25 @@ class TestBoundaryConstants:
 
 class TestCaseDispatch:
     def test_examples(self):
-        assert stab_case(5, 100).case_id == ODD_R
-        assert stab_case(4, 7).case_id == BOUNDARY_A
-        assert stab_case(4, 7).k1 == 7
-        assert stab_case(4, 8).case_id == BOUNDARY_B
-        assert stab_case(4, 9).case_id == CASE_3
-        assert stab_case(4, 9).k0 == 9
-        assert stab_case(4, 10).case_id == CASE_4
-        assert stab_case(4, 3).case_id == EVEN_R_SMALL_K
+        assert stab_case(5, 100) == ODD_R
+        assert stab_case(4, 7) == BOUNDARY_A
+        assert stab_result(4, 7).k1 == 7
+        assert stab_case(4, 8) == BOUNDARY_B
+        assert stab_case(4, 9) == CASE_3
+        assert stab_result(4, 9).k0 == 9
+        assert stab_case(4, 10) == CASE_4
+        assert stab_case(4, 3) == EVEN_R_SMALL_K
 
     def test_odd_r_has_no_boundary_constants(self):
-        case = stab_case(3, 5)
-        assert case.k0 is None and case.k1 is None
+        result = stab_result(3, 5)
+        assert result.k0 is None and result.k1 is None
 
     def test_partition_is_total_and_unique(self):
         for r in range(3, 11):
             for k in range(0, 200):
                 case = stab_case(r, k)
                 if r % 2:
-                    assert case.case_id == ODD_R
+                    assert case == ODD_R
                     continue
                 low, high = k1(r), k0(r)
                 predicates = {
@@ -83,7 +83,7 @@ class TestCaseDispatch:
                     CASE_4: k % 2 == 0 and k > high,
                 }
                 assert sum(predicates.values()) == 1
-                assert predicates[case.case_id]
+                assert predicates[case]
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -109,9 +109,9 @@ class TestStabValue:
             for k in range(0, 120):
                 case = stab_case(r, k)
                 value = stab_value(r, k)
-                if case.case_id in (ODD_R, EVEN_R_SMALL_K, BOUNDARY_A, BOUNDARY_B):
+                if case in (ODD_R, EVEN_R_SMALL_K, BOUNDARY_A, BOUNDARY_B):
                     assert 2 * value == (k + 1) * (2 * r + k)
-                elif case.case_id == CASE_3:
+                elif case == CASE_3:
                     assert 2 * value == (r + k) ** 2 - 1
                 else:
                     assert 2 * value == (r + k) ** 2
