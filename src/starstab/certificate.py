@@ -3,9 +3,9 @@
 A certificate file is one JSON object holding every field of
 :class:`Certificate` under its own name, keys sorted, indented by two spaces.
 Reading refuses, with ``SchemaMismatchError``, a file that is not JSON text
-or not an object, a schema version other than ``SCHEMA_VERSION``, a file
-missing any field, and a field without the JSON type of its annotation (code
-lists are arrays of strings; true and false are neither integers nor numbers).
+or not an object, a schema version other than ``SCHEMA_VERSION`` (schema "1"
+held a wall time; ``certify`` remakes such a file), a file missing any field,
+and a field not of its annotation's JSON type (code lists hold strings only).
 
 The package imports this module on first use, because ``dataclasses`` would
 otherwise add to the start-up of every CLI call.
@@ -20,11 +20,10 @@ from pathlib import Path
 
 from .errors import SchemaMismatchError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # The JSON value types each Certificate field accepts, by its annotation text.
-_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "float": (int, float),
-               "tuple[str, ...]": (list,)}
+_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "tuple[str, ...]": (list,)}
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class Certificate:
     extremal_found: tuple[str, ...]
     extremal_expected: tuple[str, ...]
     match: bool
-    elapsed: float
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:

@@ -54,7 +54,7 @@ class Graph:
                 if not rows[u] >> v & 1:
                     raise InvalidParameterError(f"asymmetric adjacency between {u} and {v}")
                 w &= w - 1
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", int(n))  # so a bool order shows as n=1, not n=True
         object.__setattr__(self, "rows", rows)
 
     def __eq__(self, other: object) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 from functools import lru_cache
@@ -352,10 +351,14 @@ class TestCertify:
         assert cert.minimality_ok and cert.match
         assert len(cert.extremal_found) == 1
 
-    def test_deterministic_modulo_elapsed(self):
-        a = dataclasses.replace(certify(3, 2), elapsed=0.0)
-        b = dataclasses.replace(certify(3, 2), elapsed=0.0)
-        assert a == b
+    def test_deterministic(self, tmp_path):
+        # the record holds no wall time, so two runs write the same bytes
+        assert certify(3, 2) == certify(3, 2)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_certificate(certify(3, 2), a)
+        write_certificate(certify(3, 2), b)
+        assert a.read_bytes() == b.read_bytes()
+        assert "elapsed" not in json.loads(a.read_text())
 
     def test_order_budget(self):
         # order 20 is served, but 11 census edges there are not
@@ -424,6 +427,16 @@ class TestCertificatePersistence:
         with pytest.raises(SchemaMismatchError):
             read_certificate(path)
 
+    def test_schema_1_file_refused(self, tmp_path):
+        # schema "1" held the wall time elapsed; certify writes such a file anew
+        path = tmp_path / "cert.json"
+        write_certificate(certify(3, 0), path)
+        payload = {**json.loads(path.read_text()), "schema_version": "1", "elapsed": 0.1}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaMismatchError,
+                           match="^unsupported certificate schema '1', expected '2'$"):
+            read_certificate(path)
+
     def test_missing_field_rejected(self, tmp_path):
         cert = certify(3, 0)
         path = tmp_path / "cert.json"
@@ -450,7 +463,7 @@ class TestCertificatePersistence:
     @pytest.mark.parametrize("field, value", [
         ("r", 3.5), ("k", "0"), ("claimed_value", True), ("candidates_below", None),
         ("minimality_ok", 1), ("match", "no"), ("extremal_found", [1, None]),
-        ("extremal_expected", ["C~", 5]), ("elapsed", "0.1"), ("elapsed", False),
+        ("extremal_expected", ["C~", 5]),
     ])
     def test_field_of_the_wrong_type_rejected(self, tmp_path, field, value):
         path = tmp_path / "cert.json"
@@ -473,9 +486,9 @@ class TestCertificatePersistence:
 
     def test_refutation_is_persistable(self, tmp_path):
         refutation = Certificate(
-            schema_version="1", r=3, k=1, claimed_value=6, minimality_ok=False,
+            schema_version="2", r=3, k=1, claimed_value=6, minimality_ok=False,
             candidates_below=6, extremal_found=("C~",), extremal_expected=("D}o",),
-            match=False, elapsed=0.1,
+            match=False,
         )
         path = tmp_path / "refuted.json"
         write_certificate(refutation, path)

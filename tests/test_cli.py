@@ -285,9 +285,9 @@ class TestCertify:
         from starstab import Certificate
 
         refutation = Certificate(
-            schema_version="1", r=3, k=1, claimed_value=7, minimality_ok=True,
+            schema_version="2", r=3, k=1, claimed_value=7, minimality_ok=True,
             candidates_below=6, extremal_found=(), extremal_expected=("D}o",),
-            match=False, elapsed=0.0,
+            match=False,
         )
         monkeypatch.setattr(cli, "certify", lambda r, k: refutation)
         cert_path = tmp_path / "cert.json"

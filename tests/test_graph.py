@@ -14,6 +14,7 @@ from starstab import (
     Graph,
     Graph6ParseError,
     InvalidParameterError,
+    certify,
     complement,
     complete,
     conjunction,
@@ -26,8 +27,10 @@ from starstab import (
     near_complete_regular,
     pad,
     permute,
+    read_certificate,
     star,
     with_edge,
+    write_certificate,
 )
 from helpers import random_graph
 
@@ -406,11 +409,16 @@ class TestIntegerArguments:
         with pytest.raises(TypeError):
             starstab.recovery_embedding(starstab.bch_construct(star(3), 1, (1, 2, 3, 4)), 5)
 
-    def test_bools_count_as_ints(self):
+    def test_bools_count_as_ints(self, tmp_path):
         assert empty(True) == empty(1)
+        assert repr(empty(True)) == "Graph(n=1, rows=(0,))"
         assert permute(complete(2), (True, False)) == complete(2)
         assert induced_delete(complete(3), [True]) == complete(2)
         assert with_edge(empty(2), False, True) == complete(2)
+        # a certificate stores the budget as an int, so the file reads back
+        cert = certify(3, True)
+        write_certificate(cert, tmp_path / "cert.json")
+        assert read_certificate(tmp_path / "cert.json") == cert == certify(3, 1)
 
 
 class TestGraph6:

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -121,3 +122,22 @@ def test_public_names_are_pinned():
     ]
     for name in starstab.__all__:
         getattr(starstab, name)
+
+
+def test_every_name_the_benchmark_tracer_binds_resolves():
+    # perfbench/tracing.py wraps these functions by name, so a deleted or
+    # renamed one would otherwise show only in a traced benchmark pass. The
+    # certify function shadows its module, so modules come from sys.modules.
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import starstab.cli  # noqa: F401  (loads every module the tracer patches)
+
+    assert tracing.SPANS and tracing.GENERATORS
+    missing = []
+    for module, names in [*tracing.SPANS.items(), *tracing.GENERATORS.items()]:
+        for name in names:
+            if not callable(getattr(sys.modules.get(f"starstab.{module}"), name, None)):
+                missing.append(f"starstab.{module}.{name}")
+    assert missing == []
