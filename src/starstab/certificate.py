@@ -4,7 +4,7 @@ A certificate file is one JSON object holding every field of
 :class:`Certificate` under its own name, keys sorted, indented by two spaces.
 Reading refuses, with ``SchemaMismatchError``, a file that is not JSON text
 or not an object, a schema version other than ``SCHEMA_VERSION`` (schema "1"
-held a wall time; ``certify`` remakes such a file), a file missing any field,
+held a wall time; ``certify`` remakes such a file), keys other than the fields,
 and a field not of its annotation's JSON type (code lists hold strings only).
 
 The package imports this module on first use, because ``dataclasses`` would
@@ -58,9 +58,10 @@ def read_certificate(path: str | Path) -> Certificate:
         raise SchemaMismatchError(
             f"unsupported certificate schema {version!r}, expected {SCHEMA_VERSION!r}")
     fields = dataclasses.fields(Certificate)
-    missing = {f.name for f in fields} - payload.keys()
-    if missing:
-        raise SchemaMismatchError(f"certificate missing fields: {sorted(missing)}")
+    names = {f.name for f in fields}
+    for kind, keys in (("missing", names - payload.keys()), ("unknown", payload.keys() - names)):
+        if keys:
+            raise SchemaMismatchError(f"certificate {kind} fields: {sorted(keys)}")
     values = {}
     for f in fields:
         value = payload[f.name]

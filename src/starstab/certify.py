@@ -44,7 +44,7 @@ from .errors import CapacityExceededError, InvalidParameterError
 from .graph import (Graph, _check_order, complement, decode_graph6, from_edges,
                     induced_delete, pad)
 from .stability import is_star_stable, sparse_complement_guarantees_stable
-from .theorem import extremal_family, stab_value
+from .theorem import extremal_family, stab_result
 
 if TYPE_CHECKING:
     from .certificate import Certificate
@@ -162,7 +162,7 @@ def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     non-decreasing index lists. Representatives are not canonically labelled.
     Arguments are checked at the first next().
     """
-    _check_order(n)
+    n = _check_order(n)
     if not (isinstance(m, int) and 0 <= m <= comb(n, 2)):
         raise InvalidParameterError(f"size {m!r} impossible at order {n}")
     e = min(m, comb(n, 2) - m)
@@ -186,7 +186,8 @@ def certify(r: int, k: int) -> Certificate:
     extremal family. A refutation is reported in the certificate, not raised;
     a census outside the census envelope raises CapacityExceededError.
     """
-    value = stab_value(r, k)
+    result = stab_result(r, k)
+    r, k, value = result.r, result.k, result.value
     n = r + k + 1
 
     def stable(g: Graph) -> bool:
@@ -199,7 +200,7 @@ def certify(r: int, k: int) -> Certificate:
     return Certificate(
         schema_version=SCHEMA_VERSION,
         r=r,
-        k=int(k),  # a bool budget counts as one; JSON would write it as true
+        k=k,
         claimed_value=value,
         minimality_ok=not any(below),
         candidates_below=len(below),

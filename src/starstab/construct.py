@@ -41,7 +41,7 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
     edge set is exactly the union, over pattern edges with labels i and j, of
     all pairs between {i..i+k} and {j..j+k}.
     """
-    _check_fault_budget(k)
+    k = _check_fault_budget(k)
     n = pattern.n
     try:
         labelling = tuple(map(operator.index, labelling))

@@ -36,26 +36,26 @@ class Graph:
     rows: tuple[int, ...]
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
-        _check_order(n)
-        rows = tuple(rows)
+        n = _check_order(n)
+        rows = list(rows)
         if len(rows) != n:
             raise InvalidParameterError("adjacency row count does not match order")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
             if not isinstance(row, int):
                 raise InvalidParameterError(f"row {v} is not an int: {row!r}")
+            rows[v] = row = int(row)
             if row & ~full:
                 raise InvalidParameterError(f"row {v} has bits outside the vertex range")
             if row >> v & 1:
                 raise InvalidParameterError(f"loop at vertex {v}")
-            w = row
-            while w:
-                u = (w & -w).bit_length() - 1
+            while row:
+                u = (row & -row).bit_length() - 1
                 if not rows[u] >> v & 1:
                     raise InvalidParameterError(f"asymmetric adjacency between {u} and {v}")
-                w &= w - 1
-        object.__setattr__(self, "n", int(n))  # so a bool order shows as n=1, not n=True
-        object.__setattr__(self, "rows", rows)
+                row &= row - 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(rows))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -82,14 +82,8 @@ class Graph:
         """Number of edges."""
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.rows)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, in lexicographic order."""
@@ -100,22 +94,25 @@ class Graph:
                 w &= w - 1
 
 
-def _check_star_size(r: int) -> None:
+def _check_star_size(r: int) -> int:
     """A star size is an int >= 3."""
     if not isinstance(r, int) or r < 3:
         raise InvalidParameterError(f"star size r must be an int >= 3, got {r!r}")
+    return int(r)
 
 
-def _check_fault_budget(k: int) -> None:
+def _check_fault_budget(k: int) -> int:
     """A fault budget is an int >= 0."""
     if not isinstance(k, int) or k < 0:
         raise InvalidParameterError(f"fault budget k must be an int >= 0, got {k!r}")
+    return int(k)
 
 
-def _check_vertex(v: int, n: int) -> None:
+def _check_vertex(v: int, n: int) -> int:
     """A vertex of an order-n graph is an int in 0..n-1."""
     if not (isinstance(v, int) and 0 <= v < n):
         raise InvalidParameterError(f"vertex {v!r} out of range for order {n}")
+    return int(v)
 
 
 def _check_graph6_order(n: int) -> None:
@@ -124,7 +121,7 @@ def _check_graph6_order(n: int) -> None:
         raise CapacityExceededError(f"graph6 output supports order <= {GRAPH6_MAX_ORDER}, got {n}")
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int) -> int:
     """An order is an int from 0 up to the vertex cap."""
     if not isinstance(n, int):
         raise InvalidParameterError(f"order must be an int, got {n!r}")
@@ -132,6 +129,7 @@ def _check_order(n: int) -> None:
         raise InvalidParameterError(f"order must be >= 0, got {n}")
     if n > MAX_ORDER:
         raise CapacityExceededError(f"order {n} exceeds the {MAX_ORDER}-vertex cap")
+    return int(n)
 
 
 def empty(n: int) -> Graph:
@@ -153,8 +151,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             u, v = edge
         except (TypeError, ValueError):
             raise InvalidParameterError(f"edge {edge!r} is not a pair of vertices") from None
-        _check_vertex(u, n)
-        _check_vertex(v, n)
+        u, v = _check_vertex(u, n), _check_vertex(v, n)
         if u == v:
             raise InvalidParameterError(f"loop at vertex {u} rejected")
         rows[u] |= 1 << v
@@ -213,10 +210,7 @@ def complement(g: Graph) -> Graph:
 
 def induced_delete(g: Graph, faults: Iterable[int]) -> Graph:
     """Subgraph induced on the vertices outside ``faults``, which keep their order."""
-    faults = tuple(faults)
-    for v in faults:
-        _check_vertex(v, g.n)
-    fset = frozenset(faults)
+    fset = frozenset(_check_vertex(v, g.n) for v in faults)
     return _induced(g, [v for v in range(g.n) if v not in fset])
 
 

@@ -135,8 +135,8 @@ def is_star_stable(g: Graph, r: int, k: int) -> StabilityVerdict:
     Equivalent to k-fault stability for the r-leaf star pattern: a surviving
     vertex of degree >= r is exactly a star center.
     """
-    _check_star_size(r)
-    _check_fault_budget(k)
+    r = _check_star_size(r)
+    k = _check_fault_budget(k)
     rows = g.rows
 
     def covered(alive: int, undecided: int, m: int) -> bool:

@@ -62,8 +62,8 @@ def k0(r: int) -> int:
 
 def stab_result(r: int, k: int) -> StabResult:
     """Dispatch (r, k) to exactly one regime, with its value and extremal graphs."""
-    _check_star_size(r)
-    _check_fault_budget(k)
+    r = _check_star_size(r)
+    k = _check_fault_budget(k)
     value = (k + 1) * (2 * r + k) // 2
     if r % 2:
         return StabResult(r, k, ODD_R, None, None, value, (CONSTRUCTION_G_RK,))

@@ -38,3 +38,11 @@ def is_connected(g):
 
 def cycle(n):
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def adjacent(g, u, v):
+    return bool(g.rows[u] >> v & 1)
+
+
+def degrees(g):
+    return tuple(row.bit_count() for row in g.rows)

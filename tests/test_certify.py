@@ -29,7 +29,7 @@ from starstab import (
     write_certificate,
 )
 from starstab.certify import _connected_reps, _edge_class_reps
-from helpers import all_labeled_graphs, is_connected
+from helpers import adjacent, all_labeled_graphs, is_connected
 
 
 def is_connected_support(g):
@@ -94,7 +94,7 @@ def class_count_by_decomposition(e):
 def _extensions(h: Graph, cap: int) -> Iterator[Graph]:
     for u in range(h.n):
         for v in range(u + 1, h.n):
-            if not h.adjacent(u, v):
+            if not adjacent(h, u, v):
                 yield with_edge(h, u, v)
     if h.n + 1 <= cap:
         grown = pad(h, h.n + 1)
@@ -217,11 +217,20 @@ class TestCensusLevels:
         assert set(codes) == {canonical_form(g) for g in reference_edge_class_reps(e, cap)}
         assert all(g.size == e and g.n <= cap and all(g.rows) for g in reps)
 
+    # Published counts quoted from OEIS, not re-checked against the online
+    # entries: A002905, connected graphs with e edges, and A000664, graphs
+    # with e edges and no isolated vertices.
     def test_connected_level_counts_match_oeis_a002905(self):
-        for e, count in enumerate([1, 1, 3, 5, 12, 30, 79, 227], start=1):
+        for e, count in enumerate([1, 1, 3, 5, 12, 30, 79, 227, 710, 2322], start=1):
             reps = _connected_reps(e, e + 1)
             assert len({canonical_form(g) for g in reps}) == len(reps) == count
             assert all(g.size == e and is_connected(g) for g in reps)
+
+    def test_edge_class_counts_match_oeis_a000664(self):
+        for e, count in enumerate([1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613], start=1):
+            reps = _edge_class_reps(e, 2 * e)
+            assert len(reps) == count
+            assert all(g.size == e and all(g.rows) for g in reps)
 
 
 class TestGraphsOfOrderAndSize:
@@ -444,7 +453,17 @@ class TestCertificatePersistence:
         payload = json.loads(path.read_text())
         del payload["match"]
         path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(SchemaMismatchError, match=r"^certificate missing fields: \['match'\]$"):
+            read_certificate(path)
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        # the file holds exactly the fields: a stray schema "1" elapsed is refused too
+        path = tmp_path / "cert.json"
+        write_certificate(certify(3, 0), path)
+        payload = {**json.loads(path.read_text()), "elapsed": 0.1, "bogus": [1]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaMismatchError,
+                           match=r"^certificate unknown fields: \['bogus', 'elapsed'\]$"):
             read_certificate(path)
 
     @pytest.mark.parametrize("edit", [
