@@ -35,9 +35,7 @@ from .graph import (
     induced_delete,
     near_complete_regular,
     pad,
-    permute,
     star,
-    with_edge,
 )
 from .stability import (
     StabilityVerdict,
@@ -49,7 +47,6 @@ from .theorem import (
     extremal_family,
     k0,
     k1,
-    stab_case,
     stab_result,
     stab_value,
 )
@@ -86,15 +83,12 @@ __all__ = [
     "k1",
     "near_complete_regular",
     "pad",
-    "permute",
     "read_certificate",
     "recovery_embedding",
-    "stab_case",
     "stab_result",
     "stab_value",
     "star",
     "star_stable",
-    "with_edge",
     "write_certificate",
 ]
 

@@ -17,7 +17,6 @@ l sits at internal vertex index l-1 in the result graph.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
@@ -43,10 +42,10 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
     """
     k = _check_fault_budget(k)
     n = pattern.n
-    try:
-        labelling = tuple(map(operator.index, labelling))
-    except TypeError:
-        raise InvalidParameterError(f"labels must be integers, got {labelling!r}") from None
+    labels = tuple(labelling)
+    if not all(isinstance(x, int) for x in labels):
+        raise InvalidParameterError(f"labels must be integers, got {labelling!r}")
+    labelling = tuple(map(int, labels))
     if sorted(labelling) != list(range(1, n + 1)):
         raise InvalidParameterError(f"labelling must be a bijection onto 1..{n}, got {labelling}")
     _check_order(n + k)

@@ -40,11 +40,13 @@ class Graph:
         rows = list(rows)
         if len(rows) != n:
             raise InvalidParameterError("adjacency row count does not match order")
-        full = (1 << n) - 1
+        # Every row is checked as an int before the symmetry walk reads it.
         for v, row in enumerate(rows):
             if not isinstance(row, int):
                 raise InvalidParameterError(f"row {v} is not an int: {row!r}")
-            rows[v] = row = int(row)
+            rows[v] = int(row)
+        full = (1 << n) - 1
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise InvalidParameterError(f"row {v} has bits outside the vertex range")
             if row >> v & 1:
@@ -159,6 +161,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+# Used only by the tests and by perfbench/tracing.py, whose SPANS wraps it by name.
 def with_edge(g: Graph, u: int, v: int) -> Graph:
     """Copy of g with edge uv added."""
     return from_edges(g.n, [*g.edges(), (u, v)])
@@ -214,6 +217,7 @@ def induced_delete(g: Graph, faults: Iterable[int]) -> Graph:
     return _induced(g, [v for v in range(g.n) if v not in fset])
 
 
+# Used only by the tests and by perfbench/tracing.py, whose SPANS wraps it by name.
 def permute(g: Graph, order: Sequence[int]) -> Graph:
     """Relabel g so that new vertex i is old vertex order[i]."""
     if not all(isinstance(v, int) for v in order) or sorted(order) != list(range(g.n)):
@@ -300,6 +304,8 @@ def decode_graph6(text: str | bytes) -> Graph:
 
 def export_dot(g: Graph, index_base: int = 0) -> str:
     """Deterministic DOT text: one line per vertex, then one per edge (u < v)."""
+    if not isinstance(index_base, int):
+        raise InvalidParameterError(f"index_base must be an int, got {index_base!r}")
     lines = ["graph {"]
     for v in range(g.n):
         lines.append(f"  {v + index_base};")

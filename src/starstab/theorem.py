@@ -82,6 +82,7 @@ def stab_result(r: int, k: int) -> StabResult:
     return StabResult(r, k, case, high, low, value, descriptors)
 
 
+# Used only by the tests and by perfbench/tracing.py, whose SPANS wraps it by name.
 def stab_case(r: int, k: int) -> str:
     """The regime id of (r, k)."""
     return stab_result(r, k).case

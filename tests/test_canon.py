@@ -2,6 +2,8 @@ import hashlib
 import random
 from itertools import combinations, permutations
 
+import pytest
+
 from starstab import (
     bch_construct,
     canonical_form,
@@ -13,13 +15,12 @@ from starstab import (
     graphs_of_order_and_size,
     near_complete_regular,
     pad,
-    permute,
     stab_value,
     star,
     star_stable,
 )
 from starstab.canon import _refine, _twin_representatives
-from starstab.graph import _graph6_text, _pair_bits
+from starstab.graph import _graph6_text, _pair_bits, permute
 from helpers import all_labeled_graphs, cycle, random_graph
 
 
@@ -148,6 +149,21 @@ class TestCanonicalForm:
             order = list(range(g.n))
             rng.shuffle(order)
             assert canonical_form(g) == canonical_form(permute(g, order))
+
+    @pytest.mark.parametrize("k, leaves", [(9, 22), (25, 106)])
+    def test_matching_complement_leaf_counts_are_pinned(self, monkeypatch, k, leaves):
+        # The search keys each leaf with one _pair_bits call, so a pruning
+        # regression shows here as a count rather than as a timing.
+        g = extremal_family(4, k)[0]  # the matching complement of order k + 5
+        calls = []
+
+        def counted(rows, order):
+            calls.append(None)
+            return _pair_bits(rows, order)
+
+        monkeypatch.setattr("starstab.canon._pair_bits", counted)
+        canonical_form(g)
+        assert (g.n, len(calls)) == (k + 5, leaves)
 
 
 class TestAgainstUnprunedSearch:

@@ -25,10 +25,10 @@ from starstab import (
     read_certificate,
     stab_value,
     star_stable,
-    with_edge,
     write_certificate,
 )
 from starstab.certify import _connected_reps, _edge_class_reps
+from starstab.graph import with_edge
 from helpers import adjacent, all_labeled_graphs, is_connected
 
 

@@ -49,8 +49,16 @@ class TestLabelling:
             bch_construct(PATH3, 1.0, (1, 2, 3))
 
     def test_labels_are_integers(self):
-        with pytest.raises(InvalidParameterError, match="labels must be integers"):
-            bch_construct(star(3), 1, (1.0, 2.0, 3.0, 4.0))
+        class Label:  # an integer by __index__ only, which the int rule refuses
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        for labels in ((1.0, 2.0, 3.0, 4.0), [Label(v) for v in (1, 2, 3, 4)]):
+            with pytest.raises(InvalidParameterError, match="^labels must be integers, got "):
+                bch_construct(star(3), 1, labels)
         labelling = bch_construct(star(3), 1, (True, 2, 3, 4)).labelling
         assert labelling == (1, 2, 3, 4) and type(labelling[0]) is int
 

@@ -28,12 +28,11 @@ from starstab import (
     induced_delete,
     near_complete_regular,
     pad,
-    permute,
     read_certificate,
     star,
-    with_edge,
     write_certificate,
 )
+from starstab.graph import permute, with_edge
 from helpers import adjacent, degrees, random_graph
 
 
@@ -83,6 +82,10 @@ class TestGraphType:
     def test_rejects_rows_that_are_not_ints(self):
         with pytest.raises(InvalidParameterError, match="row 0 is not an int"):
             Graph(2, (1.5, 0))
+        # row 0 names vertex 1, so row 1 is checked before the symmetry walk reads it
+        for bad in (1.0, "1", None):
+            with pytest.raises(InvalidParameterError, match="row 1 is not an int"):
+                Graph(2, (2, bad))
         with pytest.raises(InvalidParameterError, match="adjacency row count does not match order"):
             Graph(2, (0,))
 
@@ -357,10 +360,11 @@ class TestIntegerArguments:
         "with_edge-v": lambda: with_edge(empty(3), 0, "1"),
         "induced_delete": lambda: induced_delete(complete(3), ["0"]),
         "permute": lambda: permute(complete(3), ("0", "1", "2")),
+        "export_dot": lambda: export_dot(star(3), "1"),
         "stab_value-r": lambda: starstab.stab_value("4", 2),
         "stab_value-k": lambda: starstab.stab_value(4, "2"),
-        "stab_case-r": lambda: starstab.stab_case("4", 2),
-        "stab_case-k": lambda: starstab.stab_case(4, "2"),
+        "stab_case-r": lambda: starstab.theorem.stab_case("4", 2),
+        "stab_case-k": lambda: starstab.theorem.stab_case(4, "2"),
         "stab_result-r": lambda: starstab.stab_result("4", 2),
         "stab_result-k": lambda: starstab.stab_result(4, "2"),
         "k0": lambda: starstab.k0("4"),
@@ -396,6 +400,7 @@ class TestIntegerArguments:
         "k1": r"^boundary constants apply to even r >= 4, got '4'$",
         "graphs_of_order_and_size-m": r"^size '3' impossible at order 8$",
         "enumerate_graphs_by_edges-e": r"^size '3' impossible at order 4$",
+        "export_dot": r"^index_base must be an int, got '1'$",
     }
 
     @pytest.mark.parametrize("call", STR_MESSAGES)
@@ -429,6 +434,8 @@ class TestIntegerArguments:
             permute(complete(3), 5)
         with pytest.raises(TypeError):
             starstab.recovery_embedding(starstab.bch_construct(star(3), 1, (1, 2, 3, 4)), 5)
+        with pytest.raises(TypeError):
+            starstab.bch_construct(star(3), 1, 5)
 
     # README: a bool counts as an int, and every record a function returns
     # stores it as a plain int, so a JSON dump writes 1, not true.
@@ -455,6 +462,7 @@ class TestIntegerArguments:
         assert permute(complete(2), (True, False)) == complete(2)
         assert induced_delete(complete(3), [True]) == complete(2)
         assert with_edge(empty(2), False, True) == complete(2)
+        assert export_dot(star(3), True) == export_dot(star(3), 1)
         # a certificate stores the budget as an int, so the file reads back
         cert = certify(3, True)
         write_certificate(cert, tmp_path / "cert.json")
@@ -526,3 +534,7 @@ class TestDot:
 
     def test_one_based_option(self):
         assert "  1 -- 2;" in export_dot(complete(2), index_base=1)
+
+    def test_index_base_must_be_an_int(self):
+        with pytest.raises(InvalidParameterError, match=r"^index_base must be an int, got 0\.5$"):
+            export_dot(star(3), 0.5)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import starstab
@@ -116,12 +117,14 @@ def test_public_names_are_pinned():
         "decode_graph6", "empty", "encode_graph6",
         "enumerate_graphs_by_edges", "export_dot", "extremal_family", "from_edges",
         "graphs_of_order_and_size", "induced_delete", "is_stable_general", "is_star_stable",
-        "k0", "k1", "near_complete_regular", "pad", "permute", "read_certificate",
-        "recovery_embedding", "stab_case", "stab_result", "stab_value", "star", "star_stable",
-        "with_edge", "write_certificate",
+        "k0", "k1", "near_complete_regular", "pad", "read_certificate", "recovery_embedding",
+        "stab_result", "stab_value", "star", "star_stable", "write_certificate",
     ]
     for name in starstab.__all__:
         getattr(starstab, name)
+    # and the package binds no other public name, submodules aside
+    assert not [name for name, value in vars(starstab).items() if not name.startswith("_")
+                and not isinstance(value, types.ModuleType) and name not in starstab.__all__]
 
 
 def test_every_name_the_benchmark_tracer_binds_resolves():

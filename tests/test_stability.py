@@ -23,8 +23,8 @@ from starstab import (
     stab_value,
     star,
     star_stable,
-    with_edge,
 )
+from starstab.graph import with_edge
 from starstab.stability import _Budget, _embeds, sparse_complement_guarantees_stable
 from helpers import adjacent, all_labeled_graphs, cycle, degrees, random_graph
 

@@ -15,7 +15,6 @@ from starstab import (
     k0,
     k1,
     near_complete_regular,
-    stab_case,
     stab_result,
     stab_value,
     star_stable,
@@ -30,6 +29,7 @@ from starstab.theorem import (
     ODD_R,
     REGULAR_PLUS_TOTAL,
     REGULAR_SURVIVOR,
+    stab_case,
 )
 
 
