@@ -7,8 +7,7 @@ edges: each class is a graph with e edges and no isolated vertices, padded to
 order n, or the complement of one. Each desk instance leaves at most a handful
 of complement edges, so the census stays in the thousands of classes where a
 direct edge-count census would be astronomically large. A census may try at
-most MAX_CENSUS_WORK augmentation candidates; the order is bounded only by
-the 64-vertex cap, and certificates by the 62-vertex cap of canonical codes.
+most MAX_CENSUS_WORK augmentation candidates; orders go up to the vertex cap.
 
 Isomorph-free generation has two levels. Connected classes with e edges grow
 from those with e-1 edges by one new edge: between two non-adjacent vertices,

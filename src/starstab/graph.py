@@ -8,10 +8,10 @@ concurrent workers. The builders compose the ``Graph`` constructor,
 :func:`from_edges`, :func:`complement`, :func:`conjunction` and the
 induced-subgraph helper, so each row-level operation is written once.
 
-graph6 serialization follows the standard format for orders up to 62: a header
-byte ``n + 63`` followed by the upper-triangle adjacency bits in column-major
-order (pairs (0,1), (0,2), (1,2), (0,3), ...), packed into 6-bit groups, each
-offset by 63, zero-padded at the end.
+graph6 serialization follows the standard format: a header byte ``n + 63`` (at
+orders 63 and 64 the long form, ``~`` and n in three 6-bit groups), then the
+upper-triangle adjacency bits in column-major order (pairs (0,1), (0,2),
+(1,2), (0,3), ...), packed into 6-bit groups, each offset by 63, zero-padded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapacityExceededError, Graph6ParseError, InvalidParameterError
 
 MAX_ORDER = 64
-GRAPH6_MAX_ORDER = 62
 
 
 class Graph:
@@ -115,12 +114,6 @@ def _check_vertex(v: int, n: int) -> int:
     if not (isinstance(v, int) and 0 <= v < n):
         raise InvalidParameterError(f"vertex {v!r} out of range for order {n}")
     return int(v)
-
-
-def _check_graph6_order(n: int) -> None:
-    """graph6 text and canonical codes have a one-byte order header."""
-    if n > GRAPH6_MAX_ORDER:
-        raise CapacityExceededError(f"graph6 output supports order <= {GRAPH6_MAX_ORDER}, got {n}")
 
 
 def _check_order(n: int) -> int:
@@ -254,15 +247,25 @@ def _pair_bits(rows: Sequence[int], order: Sequence[int]) -> int:
 def _graph6_text(n: int, bits: int) -> str:
     """graph6 text of order n from its pair bits as :func:`_pair_bits` lays them out."""
     npairs = n * (n - 1) // 2
-    nbytes = (npairs + 5) // 6
-    bits <<= 6 * nbytes - npairs
-    return chr(n + 63) + "".join(
-        chr((bits >> shift & 63) + 63) for shift in range(6 * nbytes - 6, -1, -6))
+    # The header is one group, or for the long form '~' (63) and n in three groups.
+    header, hbytes = (n, 1) if n < 63 else (63 << 18 | n, 4)
+    bits = (header << npairs | bits) << (-npairs % 6)
+    nbytes = hbytes + (npairs + 5) // 6
+    return "".join(chr((bits >> shift & 63) + 63) for shift in range(6 * nbytes - 6, -1, -6))
+
+
+def _from_groups(text: str, error: str) -> int:
+    """The int in big-endian 6-bit groups offset by 63; other bytes are refused by ``error``."""
+    value = 0
+    for ch in text:
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6ParseError(error.format(ord(ch)))
+        value = value << 6 | ord(ch) - 63
+    return value
 
 
 def encode_graph6(g: Graph) -> str:
-    """Standard graph6 text for graphs of order <= 62 (single-byte header)."""
-    _check_graph6_order(g.n)
+    """Standard graph6 text: a one-byte header up to order 62, the long form above."""
     return _graph6_text(g.n, _pair_bits(g.rows, range(g.n)))
 
 
@@ -278,22 +281,20 @@ def decode_graph6(text: str | bytes) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6ParseError("empty graph6 string")
-    header = ord(s[0])
-    if header == 126:
-        raise Graph6ParseError("long-form graph6 headers (order > 62) are unsupported")
-    if not 63 <= header <= 63 + GRAPH6_MAX_ORDER:
-        raise Graph6ParseError(f"bad graph6 header byte {header}")
-    n = header - 63
+    head, body = (s[1:4], s[4:]) if s[0] == "~" else (s[0], s[1:])  # '~': the long form
+    n = _from_groups(head, "bad graph6 header byte {}")
+    if s[0] == "~":
+        if len(s) < 4:
+            raise Graph6ParseError("truncated graph6 long-form header")
+        if s[1] == "~":
+            raise Graph6ParseError(f"graph6 8-byte header: orders past the {MAX_ORDER}-vertex cap")
+        if n < 63:
+            raise Graph6ParseError(f"graph6 long-form header names order {n}, below 63")
+        _check_order(n)
     npairs = n * (n - 1) // 2
-    body = s[1:]
     if len(body) != (npairs + 5) // 6:
         raise Graph6ParseError(f"graph6 body has {len(body)} bytes, expected {(npairs + 5) // 6}")
-    bits = 0
-    for ch in body:
-        b = ord(ch)
-        if not 63 <= b <= 126:
-            raise Graph6ParseError(f"graph6 body byte {b} out of range")
-        bits = bits << 6 | (b - 63)
+    bits = _from_groups(body, "graph6 body byte {} out of range")
     padding = len(body) * 6 - npairs
     if bits & ((1 << padding) - 1):
         raise Graph6ParseError("nonzero padding bits in graph6 body")

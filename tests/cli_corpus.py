@@ -1,4 +1,5 @@
-"""CLI behaviour corpus: one sha256 per subcommand over fixed calls.
+"""CLI behaviour corpus: one sha256 per subcommand over fixed calls, one over
+the refusals and one over calls at the top orders 62-64.
 
 Each case runs ``starstab.cli.main(argv)`` in process, in a new temporary
 directory that holds only its input files, so every path it prints is
@@ -112,7 +113,6 @@ def _refusal_cases():
     return [
         (_args("stab", "--r", 2, "--k", 1), {}),  # star size
         (_args("stab", "--r", 4, "--k", -1), {}),  # fault budget
-        (_args("stab", "--r", 4, "--k", 59), {}),  # graph6 order
         (_args("construct", "--r", 3, "--k", 61), {}),  # vertex cap
         (_args("stab", "--r", 4, "--k", "1_0"), {}),  # integer argument
         (_args("construct", "--r", 3, "--pattern", "p.g6", "--k", 1), {"p.g6": "C@\n"}),
@@ -121,13 +121,14 @@ def _refusal_cases():
         (_args("recover", "--r", 3, "--k", 1, "--faults", "1,,2"), {}),
         (_args("recover", "--r", 3, "--k", 1, "--faults", "1,2"), {}),  # fault budget
         (_args("recover", "--r", 3, "--k", 1, "--faults", 6), {}),  # fault label
-        (_args("extremal", "--r", 3, "--k", 59, "--out", "fam"), {}),  # leaves no directory
+        (_args("extremal", "--r", 3, "--k", 61, "--out", "fam"), {}),  # leaves no directory
         (_args("enumerate", "--edges", 30, "--max-vertices", 8), {}),  # size
         (_args("enumerate", "--edges", 3, "--max-vertices", 65), {}),  # order
         (_args("certify", "--r", 5, "--k", 5, "--out", "c.json"), {}),  # census budget
         (_args("verify", "--graph", "missing.g6", "--r", 3, "--k", 1), {}),  # file
         (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": b"C\xff\n"}),
-        (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "~?@A\n"}),
+        (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "~?@A\n"}),  # order 66
+        (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "~???\n"}),
         (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "C~~\n"}),
         (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "B~\n"}),
         (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "C\x7f\n"}),
@@ -135,6 +136,19 @@ def _refusal_cases():
         (_args("enumerate", "--edges", 3, "--max-vertices", -1), {}),  # order
         (_args("enumerate", "--edges", -1, "--max-vertices", 4), {}),  # size
     ]
+
+
+def _top_order_cases():
+    """Calls at orders 62-64, where graph6 text moves to its long-form header."""
+    host, = extremal_family(3, 60)
+    cases = [(_args("stab", "--r", 3, "--k", k), {}) for k in (58, 59, 60)]
+    cases += [(_args("extremal", "--r", 3, "--k", 60, "--out", "fam"), {}),
+              (_args("construct", "--r", 3, "--k", 60, "--dot"), {}),
+              (_args("certify", "--r", 3, "--k", 60, "--out", "cert.json"), {}),
+              (_args("enumerate", "--edges", 2, "--max-vertices", 64), {})]
+    for g in (host, _without(host, next(host.edges()))):
+        cases.append((_args("verify", "--graph", "g.g6", "--r", 3, "--k", 60), {"g.g6": _g6(g)}))
+    return cases
 
 
 CASES = {
@@ -149,6 +163,7 @@ CASES = {
     "enumerate": [(_args("enumerate", "--edges", e, "--max-vertices", n), {})
                   for e, n in ((6, 12), (8, 16))],
     "refusals": _refusal_cases(),
+    "top-orders": _top_order_cases(),
 }
 
 

@@ -142,9 +142,11 @@ class TestCanonicalForm:
             assert [canonical_form(h) for h in extremal_family(r, k)] == codes
 
     def test_highly_symmetric_graphs(self):
+        # the order-64 codes carry graph6's long-form header
         for g in [complete(14), empty(14), near_complete_regular(14),
                   conjunction(near_complete_regular(12), complete(1)),
-                  star_stable(4, 9)]:
+                  star_stable(4, 9), complete(64), pad(cycle(5), 64),
+                  extremal_family(3, 60)[0]]:
             rng = random.Random(g.size)
             order = list(range(g.n))
             rng.shuffle(order)

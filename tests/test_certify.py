@@ -284,7 +284,7 @@ class TestGraphsOfOrderAndSize:
 class TestCensusEnvelope:
     # at most MAX_CENSUS_WORK augmentation candidates on the sparser side,
     # whether the census is asked for by edges, by order and size, or by
-    # certify; the order is bounded by the vertex and canonical-code caps alone
+    # certify; the order is bounded by the vertex cap alone
 
     def test_generators_serve_eight_edges_at_order_sixteen(self):
         assert len(list(enumerate_graphs_by_edges(8, 16))) == 497
@@ -333,15 +333,15 @@ class TestCensusEnvelope:
         assert cert.minimality_ok and cert.match
 
     def test_certify_serves_r3_at_every_order_with_canonical_codes(self):
-        for k in range(13, 59):
+        for k in range(13, 61):
             cert = certify(3, k)
             assert cert.minimality_ok and cert.match, k
 
     def test_certify_refuses_beyond_the_vertex_caps(self):
-        with pytest.raises(CapacityExceededError, match="graph6 output supports order <= 62, got 63"):
-            certify(3, 59)
-        with pytest.raises(CapacityExceededError, match="64-vertex cap"):
+        with pytest.raises(CapacityExceededError, match="^order 65 exceeds the 64-vertex cap$"):
             certify(3, 61)
+        with pytest.raises(CapacityExceededError, match="^order 66 exceeds the 64-vertex cap$"):
+            certify(3, 62)
 
 
 class TestCertify:

@@ -219,11 +219,11 @@ class TestStab:
         assert code == 2
         assert out == ""
 
-    def test_order_above_graph6_cap_refused_before_search(self):
-        # order 64: within the graph cap, beyond what a graph6 code can hold
-        proc = run_cli_subprocess("stab", "--r", "4", "--k", "59")
+    def test_order_above_vertex_cap_refused_before_search(self):
+        # order 66: refused before the extremal graphs are built or canonicalized
+        proc = run_cli_subprocess("stab", "--r", "4", "--k", "61")
         assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert proc.stdout == ""
+        assert (proc.stdout, proc.stderr) == ("", "error: order 66 exceeds the 64-vertex cap\n")
 
     def test_perfect_matching_complement_of_order_30_finishes(self):
         # the complement of a 15-pair matching has 2^15 * 15! automorphisms;
@@ -251,9 +251,9 @@ class TestExtremal:
 
     def test_refused_call_leaves_no_directory(self, capsys, tmp_path):
         outdir = tmp_path / "fam"
-        code, out, err = run(capsys, "extremal", "--r", "3", "--k", "59", "--out", str(outdir))
+        code, out, err = run(capsys, "extremal", "--r", "3", "--k", "61", "--out", str(outdir))
         assert (code, out) == (2, "")
-        assert err == "error: graph6 output supports order <= 62, got 63\n"
+        assert err == "error: order 65 exceeds the 64-vertex cap\n"
         assert not outdir.exists()
 
 

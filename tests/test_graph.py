@@ -493,13 +493,29 @@ class TestGraph6:
         assert decode_graph6(b"C~") == complete(4)
 
     def test_encode_capacity(self):
-        with pytest.raises(CapacityExceededError):
-            encode_graph6(empty(63))
+        # graph6 text reaches the 64-vertex cap through the long-form header
+        assert encode_graph6(empty(62)) == "}" + "?" * 316
+        assert encode_graph6(empty(63)) == "~??~" + "?" * 326
+        assert encode_graph6(complete(64)) == "~?@?" + "~" * 336
+
+    def test_roundtrip_at_every_order(self):
+        rng = random.Random(64)
+        for n in range(65):
+            g = random_graph(rng, n, rng.random())
+            text = encode_graph6(g)
+            assert text.startswith("~") == (n > 62)
+            for form in (text, text.encode(), text + "\r\n"):
+                assert decode_graph6(form) == g, (n, form)
 
     # Only ASCII whitespace is stripped, so chr(30) and chr(31) reach the checks.
     PARSE_ERRORS = {
         "": "^empty graph6 string$",
-        "~??": "^long-form graph6 headers",
+        "~": "^truncated graph6 long-form header$",
+        "~?": "^truncated graph6 long-form header$",
+        "~??": "^truncated graph6 long-form header$",
+        "~???": "^graph6 long-form header names order 0, below 63$",
+        "~?!?": "^bad graph6 header byte 33$",
+        "~~??????": "^graph6 8-byte header: orders past the 64-vertex cap$",
         "C": "^graph6 body has 0 bytes, expected 1$",
         "C~~": "^graph6 body has 2 bytes, expected 1$",
         "C" + chr(30): "^graph6 body byte 30 out of range$",
@@ -512,6 +528,12 @@ class TestGraph6:
     def test_parse_errors(self, bad):
         with pytest.raises(Graph6ParseError, match=self.PARSE_ERRORS[bad]):
             decode_graph6(bad)
+
+    @pytest.mark.parametrize("text, order", [("~?@@", 65), ("~?A?", 128)])
+    def test_long_form_above_the_vertex_cap(self, text, order):
+        # refused at its header, before the body is read
+        with pytest.raises(CapacityExceededError, match=f"^order {order} exceeds the 64-vertex cap$"):
+            decode_graph6(text)
 
     def test_nonzero_padding_rejected(self):
         # order 3 uses 3 bits; the low 3 padding bits must be zero

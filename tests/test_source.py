@@ -70,11 +70,10 @@ def test_cli_import_leaves_out_dataclasses():
 
 
 def test_each_input_rule_is_worded_once():
-    # The star size, fault budget, vertex and graph6-order rules are each
-    # checked by one function in graph.py, which every caller uses.
+    # The star size, fault budget and vertex rules are each checked by one
+    # function in graph.py, which every caller uses.
     text = "".join(path.read_text() for path in Path(starstab.__file__).parent.glob("*.py"))
-    for message in ("star size r must be", "fault budget k must be",
-                    "out of range for order", "graph6 output supports order"):
+    for message in ("star size r must be", "fault budget k must be", "out of range for order"):
         assert text.count(message) == 1, message
 
 

@@ -263,7 +263,7 @@ def densest_complement_cliques(r, n):
 class TestTheoremOracle:
     def test_value_and_extremal_family_at_every_order(self):
         pairs = 0
-        for n in range(4, 63):
+        for n in range(4, 65):
             for r in range(3, n):
                 k = n - r - 1
                 best, optima = densest_complement_cliques(r, n)
@@ -275,7 +275,7 @@ class TestTheoremOracle:
                            for o, g in zip(orders, family))
                 assert sorted(orders) == sorted(optima), (r, k)
                 pairs += 1
-        assert pairs == 1770
+        assert pairs == 1891
 
     def test_complement_rule_matches_the_decider(self):
         decisions = 0
