@@ -8,8 +8,8 @@ label intervals {i..i+k} and {j..j+k}. For every H, isolated vertices
 included, the result tolerates any k vertex faults: relabelling survivors
 greedily by smallest free label re-embeds H. Recovery refuses any other result.
 
-For star patterns the outcome is independent of the labelling: it is the
-join of a (k+1)-clique with r isolated vertices, built by :func:`star_stable`.
+:func:`star_stable` is the star's expansion under the identity labelling. That it is the
+join of K_{k+1} on labels 1..k+1 with r isolated vertices is a property the tests check.
 
 Labels are 1-based throughout this module, matching the convention that label
 l sits at internal vertex index l-1 in the result graph.
@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
-from .graph import (Graph, _check_fault_budget, _check_order, _check_star_size, complete,
-                    conjunction, empty, from_edges, star)
+from .graph import Graph, _check_fault_budget, _check_order, star
 
 
 class LabeledInstance(NamedTuple):
@@ -49,23 +48,22 @@ def bch_construct(pattern: Graph, k: int, labelling: Sequence[int]) -> LabeledIn
     if sorted(labelling) != list(range(1, n + 1)):
         raise InvalidParameterError(f"labelling must be a bijection onto 1..{n}, got {labelling}")
     _check_order(n + k)
-    edges = []
+    # 0-based labels i, j: rows i..i+k take the block at j, rows j..j+k the block at i.
+    block = (1 << k + 1) - 1
+    rows = [0] * (n + k)
     for u, v in pattern.edges():
-        i, j = labelling[u], labelling[v]
+        i, j = labelling[u] - 1, labelling[v] - 1
         for a in range(i, i + k + 1):
-            for b in range(j, j + k + 1):
-                if a != b:
-                    edges.append((a - 1, b - 1))
-    return LabeledInstance(pattern, k, labelling, from_edges(n + k, edges))
+            rows[a] |= block << j
+        for b in range(j, j + k + 1):
+            rows[b] |= block << i
+    result = Graph(n + k, [row & ~(1 << v) for v, row in enumerate(rows)])
+    return LabeledInstance(pattern, k, labelling, result)
 
 
 def star_stable(r: int, k: int) -> Graph:
-    """The unique spare-vertex expansion of a star: join of K_{k+1} and r
-    isolated vertices, on r+k+1 vertices with (k+1)(2r+k)/2 edges."""
-    _check_star_size(r)
-    _check_fault_budget(k)
-    _check_order(r + k + 1)
-    return conjunction(complete(k + 1), empty(r))
+    """The star's expansion under the identity labelling: r+k+1 vertices, (k+1)(2r+k)/2 edges."""
+    return star_instance(r, k).result
 
 
 def recovery_embedding(instance: LabeledInstance,

@@ -1,5 +1,6 @@
 """CLI behaviour corpus: one sha256 per subcommand over fixed calls, one over
-the refusals and one over calls at the top orders 62-64.
+the refusals, one over calls at the top orders 62-64 and one over calls drawn
+from seeds 1-3.
 
 Each case runs ``starstab.cli.main(argv)`` in process, in a new temporary
 directory that holds only its input files, so every path it prints is
@@ -28,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -133,6 +135,8 @@ def _refusal_cases():
         (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "B~\n"}),
         (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "C\x7f\n"}),
         (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "!\n"}),
+        # a body byte that str.strip() would drop as Unicode whitespace
+        (_args("verify", "--graph", "g.g6", "--r", 3, "--k", 1), {"g.g6": "C~\x1f"}),
         (_args("enumerate", "--edges", 3, "--max-vertices", -1), {}),  # order
         (_args("enumerate", "--edges", -1, "--max-vertices", 4), {}),  # size
     ]
@@ -151,6 +155,47 @@ def _top_order_cases():
     return cases
 
 
+def _random_pattern(rng: random.Random, n: int):
+    """Connected pattern: a random tree plus each other pair with chance 1/3."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for v in range(n) for u in range(v)
+              if (u, v) not in edges and rng.random() < 1 / 3}
+    return from_edges(n, sorted(edges))
+
+
+def _seeded_cases():
+    """Calls drawn from ``random.Random(seed)`` for seeds 1-3: patterns and
+    labellings expanded and verified, one edge deleted from each spare and
+    regular host, and a fault list for each recovery."""
+    cases = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for _ in range(3):
+            pattern = _random_pattern(rng, 6)
+            labels = list(range(1, 7))
+            rng.shuffle(labels)
+            host = bch_construct(pattern, PATTERN_FAULTS, labels).result
+            cases.append((_args("construct", "--pattern", "p.g6", "--k", PATTERN_FAULTS,
+                                "--labelling", ",".join(map(str, labels))),
+                          {"p.g6": _g6(pattern)}))
+            cases.append((_args("verify", "--graph", "g.g6", "--pattern", "p.g6",
+                                "--k", PATTERN_FAULTS),
+                          {"g.g6": _g6(host), "p.g6": _g6(pattern)}))
+        hosts = [(star_stable(r, k), r, k, (rng.randrange(k + 1), rng.randrange(k + 1, r + k + 1)))
+                 for r, k in SPARE_HOSTS]  # a total and a leaf
+        for k in range(13, 18):
+            host, = extremal_family(4, k)
+            hosts.append((host, 4, k, rng.choice(list(host.edges()))))
+        for host, r, k, edge in hosts:
+            cases.append((_args("verify", "--graph", "g.g6", "--r", r, "--k", k),
+                          {"g.g6": _g6(_without(host, edge))}))
+        for r, k in SPARE_HOSTS:
+            faults = rng.sample(range(1, r + k + 2), rng.randint(1, k))
+            cases.append((_args("recover", "--r", r, "--k", k,
+                                "--faults", ",".join(map(str, faults))), {}))
+    return cases
+
+
 CASES = {
     "construct": _construct_cases(),
     "verify": _verify_cases(),
@@ -164,6 +209,7 @@ CASES = {
                   for e, n in ((6, 12), (8, 16))],
     "refusals": _refusal_cases(),
     "top-orders": _top_order_cases(),
+    "seeded": _seeded_cases(),
 }
 
 

@@ -23,11 +23,25 @@ from starstab import (
     star,
     star_stable,
 )
+from starstab.cli import main
 from starstab.construct import star_instance
 from helpers import adjacent, all_labeled_graphs, degrees, random_graph, random_labelling
 
 
 WORKED_PATTERN = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
+
+
+def reference_expansion(pattern, k, labelling):
+    """The expansion edge by edge: every label pair between {i..i+k} and
+    {j..j+k} for each pattern edge with labels i and j."""
+    edges = []
+    for u, v in pattern.edges():
+        i, j = labelling[u], labelling[v]
+        for a in range(i, i + k + 1):
+            for b in range(j, j + k + 1):
+                if a != b:
+                    edges.append((a - 1, b - 1))
+    return from_edges(pattern.n + k, edges)
 
 
 PATH3 = from_edges(3, [(0, 1), (1, 2)])
@@ -100,6 +114,27 @@ class TestBchConstruct:
                         if a != b:
                             assert adjacent(instance.result, a - 1, b - 1)
 
+    def test_matches_reference_on_every_small_labelled_pattern(self):
+        calls = 0
+        for n in range(5):
+            for pattern in all_labeled_graphs(n):
+                for labelling in permutations(range(1, n + 1)):
+                    for k in range(4):
+                        built = bch_construct(pattern, k, labelling).result
+                        assert built == reference_expansion(pattern, k, labelling)
+                        calls += 1
+        assert calls == 4 * (1 + 1 + 2 * 2 + 8 * 6 + 64 * 24)
+
+    def test_matches_reference_on_random_patterns(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randrange(5, 9)
+            pattern = random_graph(rng, n, rng.random())
+            labelling = random_labelling(rng, n)
+            k = rng.randrange(0, 5)
+            assert bch_construct(pattern, k, labelling).result == \
+                reference_expansion(pattern, k, labelling)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(InvalidParameterError):
             bch_construct(star(3), -1, (1, 2, 3, 4))
@@ -110,6 +145,15 @@ class TestBchConstruct:
 
 
 class TestStarStable:
+    def test_is_the_join_of_a_clique_and_isolated_vertices(self):
+        # labelled equality: labels 1..k+1 form the clique, the r leaves follow
+        pairs = 0
+        for r in range(3, 64):
+            for k in range(64 - r):
+                assert star_stable(r, k) == conjunction(complete(k + 1), empty(r))
+                pairs += 1
+        assert pairs == 1_891
+
     def test_figure_instance(self):
         g = star_stable(8, 7)
         assert (g.n, g.size) == (16, 92)
@@ -279,6 +323,15 @@ def test_recovery_lemma_on_every_small_connected_pattern():
 
 def test_default_star_labelling_center_first():
     assert star_instance(4, 1).labelling == (1, 2, 3, 4, 5)
+
+
+def test_star_builders_refuse_the_order_before_the_budget(capsys):
+    message = "order 101 exceeds the 64-vertex cap"
+    for build in (star_stable, star_instance):
+        with pytest.raises(CapacityExceededError, match=f"^{message}$"):
+            build(100, -1)
+    assert main(["construct", "--r", "100", "--k", "-1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("build, order", [
