@@ -40,8 +40,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .canon import canonical_form
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import (Graph, _check_order, complement, decode_graph6, from_edges,
-                    induced_delete, pad)
+from .graph import Graph, _check_order, complement, decode_graph6, from_edges, pad
 from .stability import is_star_stable, sparse_complement_guarantees_stable
 from .theorem import extremal_family, stab_result
 
@@ -137,15 +136,12 @@ def _edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
 
 
 def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
-    """One representative per iso class with e edges fitting in max_vertices,
-    canonically labelled on its non-isolated vertices, padded with isolated
-    vertices to order max_vertices, and sorted by canonical code. Arguments
-    are checked at the first next()."""
-    padded = []
-    for g in graphs_of_order_and_size(max_vertices, e):
-        core = induced_delete(g, [v for v in range(g.n) if not g.rows[v]])
-        padded.append(pad(decode_graph6(canonical_form(core)), max_vertices))
-    yield from sorted(padded, key=canonical_form)
+    """One graph per iso class with e edges fitting in max_vertices, at order
+    max_vertices: its class's canonical code decoded, so its graph6 text is
+    that code, in increasing code order. Arguments are checked at the first
+    next()."""
+    for code in sorted(map(canonical_form, graphs_of_order_and_size(max_vertices, e))):
+        yield decode_graph6(code)
 
 
 def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:

@@ -181,7 +181,6 @@ def conjunction(g1: Graph, g2: Graph) -> Graph:
     The result has order |g1| + |g2| and size ||g1|| + ||g2|| + |g1|*|g2|.
     """
     n1, n2 = g1.n, g2.n
-    _check_order(n1 + n2)
     mask1 = (1 << n1) - 1
     mask2 = ((1 << n2) - 1) << n1
     rows = [g1.rows[v] | mask2 for v in range(n1)]

@@ -166,7 +166,7 @@ def is_stable_general(g: Graph, pattern: Graph, k: int) -> StabilityVerdict:
     """Stability for an arbitrary pattern. A tree node is covered when a copy
     lies among the vertices sure to survive: the decided survivors at an
     inner node, all survivors at a leaf."""
-    _check_fault_budget(k)
+    k = _check_fault_budget(k)
     budget = _Budget()
     return _walk(g.n, k, pattern.n, lambda alive, undecided, m: _embeds(
         g.rows, alive & ~undecided if m else alive, pattern, budget), budget)

@@ -206,7 +206,7 @@ CASES = {
                 for r, k in CERTIFICATION_GRID],
     "recover": _recover_cases(),
     "enumerate": [(_args("enumerate", "--edges", e, "--max-vertices", n), {})
-                  for e, n in ((6, 12), (8, 16))],
+                  for e, n in ((6, 12), (8, 16), (14, 8), (8, 62))],
     "refusals": _refusal_cases(),
     "top-orders": _top_order_cases(),
     "seeded": _seeded_cases(),

@@ -53,6 +53,15 @@ MUTANTS = [
      "rows[a] |= block << j", "rows[a] |= block << j + 1",
      ["tests/test_construct.py::TestBchConstruct::"
       "test_matches_reference_on_every_small_labelled_pattern"]),
+    ("multiset-without-repeats", "src/starstab/certify.py",
+     "unions(i, edges_left - j", "unions(i + 1, edges_left - j",
+     ["tests/test_certify.py::TestCensusLevels::test_edge_class_counts_match_oeis_a000664"]),
+    ("enumerate-unsorted", "src/starstab/certify.py",
+     "in sorted(map(canonical_form, graphs_of_order_and_size(max_vertices, e))):",
+     "in map(canonical_form, graphs_of_order_and_size(max_vertices, e)):",
+     [f"tests/test_certify.py::TestEnumerateByEdges::"
+      f"test_each_line_is_its_class_code_in_increasing_order[{case}]"
+      for case in ("3-4", "6-12", "8-16")]),
 ]
 
 

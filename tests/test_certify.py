@@ -1,5 +1,6 @@
 import importlib
 import json
+import sys
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -18,6 +19,7 @@ from starstab import (
     complete,
     decode_graph6,
     empty,
+    encode_graph6,
     enumerate_graphs_by_edges,
     from_edges,
     graphs_of_order_and_size,
@@ -191,6 +193,26 @@ class TestEnumerateByEdges:
         codes = [canonical_form(g) for g in enumerate_graphs_by_edges(4, 8)]
         assert codes == sorted(codes)
         assert codes == [canonical_form(g) for g in enumerate_graphs_by_edges(4, 8)]
+
+    @pytest.mark.parametrize("e, n", [(0, 5), (3, 4), (6, 12), (8, 16), (14, 8), (28, 8),
+                                      (8, 62)])
+    def test_each_line_is_its_class_code_in_increasing_order(self, e, n):
+        lines = [encode_graph6(g) for g in enumerate_graphs_by_edges(e, n)]
+        assert all(canonical_form(decode_graph6(line)) == line for line in lines)
+        assert all(a < b for a, b in zip(lines, lines[1:]))
+
+    def test_one_canonical_search_per_class(self, monkeypatch):
+        census = sys.modules["starstab.certify"]  # the package attribute is the function
+        list(graphs_of_order_and_size(16, 8))  # warm the census caches
+        calls = 0
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return canonical_form(g)
+
+        monkeypatch.setattr(census, "canonical_form", counted)
+        assert sum(1 for _ in enumerate_graphs_by_edges(8, 16)) == calls == 497
 
     def test_support_budget_excludes_wide_graphs(self):
         # with 3 edges only the triangle fits in 3 vertices
