@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .canon import canonical_form
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import Graph, _check_order, complement, decode_graph6, from_edges, pad
+from .graph import Graph, _check_order, complement, from_edges, pad
 from .stability import is_star_stable, sparse_complement_guarantees_stable
 from .theorem import extremal_family, stab_result
 
@@ -135,13 +135,12 @@ def _edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
     return tuple(reps)
 
 
-def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[Graph]:
-    """One graph per iso class with e edges fitting in max_vertices, at order
-    max_vertices: its class's canonical code decoded, so its graph6 text is
-    that code, in increasing code order. Arguments are checked at the first
-    next()."""
-    for code in sorted(map(canonical_form, graphs_of_order_and_size(max_vertices, e))):
-        yield decode_graph6(code)
+def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[str]:
+    """The canonical graph6 code of each iso class with e edges fitting in
+    max_vertices, at order max_vertices, in increasing code order; a caller
+    who wants graphs decodes them with decode_graph6. Arguments are checked
+    at the first next()."""
+    yield from sorted(map(canonical_form, graphs_of_order_and_size(max_vertices, e)))
 
 
 def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:

@@ -124,8 +124,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for g in enumerate_graphs_by_edges(args.edges, args.max_vertices):
-        print(encode_graph6(g))
+    for code in enumerate_graphs_by_edges(args.edges, args.max_vertices):
+        print(code)
     return 0
 
 

@@ -168,11 +168,12 @@ class TestCanonicalForm:
         assert (g.n, len(calls)) == (k + 5, leaves)
 
     @pytest.mark.parametrize("g, refinements", [(empty(64), 1), (complete(64), 1),
-                                                (pad(cycle(5), 64), 12)],
-                             ids=["empty64", "complete64", "c5-padded-to-64"])
+                                                (pad(cycle(5), 64), 12), (star(63), 1)],
+                             ids=["empty64", "complete64", "c5-padded-to-64", "star63"])
     def test_a_cell_of_mutual_twins_splits_in_one_step(self, monkeypatch, g, refinements):
-        # The 64 (or 59) twins split into singletons without a refinement per
-        # vertex; without the twin step each of them would cost one _refine call.
+        # The 64, 59 or 63 twins (in star63, leaves, none isolated) split into
+        # singletons without a refinement per vertex; without the twin step
+        # each of them would cost one _refine call.
         calls = []
 
         def counted(rows, cells):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import sys
@@ -19,7 +20,6 @@ from starstab import (
     complete,
     decode_graph6,
     empty,
-    encode_graph6,
     enumerate_graphs_by_edges,
     from_edges,
     graphs_of_order_and_size,
@@ -140,12 +140,12 @@ GRID_LEVELS = sorted({level for r, k in CERTIFICATION_GRID for level in census_l
 
 class TestEnumerateByEdges:
     def test_zero_edges(self):
-        classes = list(enumerate_graphs_by_edges(0, 5))
+        classes = [decode_graph6(code) for code in enumerate_graphs_by_edges(0, 5)]
         assert len(classes) == 1
         assert classes[0].n == 5 and classes[0].size == 0
 
     def test_three_edges_four_vertices(self):
-        got = {canonical_form(g) for g in enumerate_graphs_by_edges(3, 4)}
+        got = set(enumerate_graphs_by_edges(3, 4))
         triangle = pad(from_edges(3, [(0, 1), (1, 2), (0, 2)]), 4)
         p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
         claw = from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -153,11 +153,10 @@ class TestEnumerateByEdges:
 
     @pytest.mark.parametrize("e", range(1, 7))
     def test_matches_component_decomposition_oracle(self, e):
-        produced = list(enumerate_graphs_by_edges(e, min(2 * e, 16)))
-        assert len(produced) == class_count_by_decomposition(e)
-        codes = [canonical_form(g) for g in produced]
+        codes = list(enumerate_graphs_by_edges(e, min(2 * e, 16)))
+        assert len(codes) == class_count_by_decomposition(e)
         assert len(set(codes)) == len(codes)
-        assert all(g.size == e for g in produced)
+        assert all(decode_graph6(code).size == e for code in codes)
 
     def test_six_edges_twelve_vertices(self):
         assert sum(1 for _ in enumerate_graphs_by_edges(6, 12)) == 68
@@ -170,7 +169,7 @@ class TestEnumerateByEdges:
         connected = {0: 0}
         totals = {}
         for e in range(1, 9):
-            classes = list(enumerate_graphs_by_edges(e, min(2 * e, 16)))
+            classes = [decode_graph6(code) for code in enumerate_graphs_by_edges(e, min(2 * e, 16))]
             totals[e] = len(classes)
             connected[e] = sum(1 for g in classes if is_connected_support(g))
         for e in (7, 8):
@@ -190,14 +189,14 @@ class TestEnumerateByEdges:
         assert totals[8] == 497
 
     def test_deterministic_sorted_order(self):
-        codes = [canonical_form(g) for g in enumerate_graphs_by_edges(4, 8)]
+        codes = list(enumerate_graphs_by_edges(4, 8))
         assert codes == sorted(codes)
-        assert codes == [canonical_form(g) for g in enumerate_graphs_by_edges(4, 8)]
+        assert codes == list(enumerate_graphs_by_edges(4, 8))
 
     @pytest.mark.parametrize("e, n", [(0, 5), (3, 4), (6, 12), (8, 16), (14, 8), (28, 8),
                                       (8, 62)])
     def test_each_line_is_its_class_code_in_increasing_order(self, e, n):
-        lines = [encode_graph6(g) for g in enumerate_graphs_by_edges(e, n)]
+        lines = list(enumerate_graphs_by_edges(e, n))
         assert all(canonical_form(decode_graph6(line)) == line for line in lines)
         assert all(a < b for a, b in zip(lines, lines[1:]))
 
@@ -294,13 +293,19 @@ class TestGraphsOfOrderAndSize:
             next(graphs_of_order_and_size(65, 1))
 
     def test_every_size_at_order_eight(self):
-        # each size is served from its sparser side, at most 14 census edges
-        total = 0
+        # each size is served from its sparser side, at most 14 census edges;
+        # the digest is over each size's sorted class codes, one per line, in
+        # size order: the bytes of enumerate --edges m --max-vertices 8
+        total, digest = 0, hashlib.sha256()
         for m in range(comb(8, 2) + 1):
             classes = list(graphs_of_order_and_size(8, m))
             assert all(g.n == 8 and g.size == m for g in classes)
             total += len(classes)
+            codes = sorted(map(canonical_form, classes))
+            digest.update("".join(code + "\n" for code in codes).encode())
         assert total == 12346  # graphs on 8 vertices, OEIS A000088
+        assert digest.hexdigest() == (
+            "f5ff3fd6cea6a4aae93d0b9cffd18310c7a64b72f5ba8b968f7b02a79d1eb8c4")
 
 
 class TestCensusEnvelope:
