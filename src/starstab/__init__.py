@@ -32,7 +32,6 @@ from .graph import (
     encode_graph6,
     export_dot,
     from_edges,
-    induced_delete,
     near_complete_regular,
     pad,
     star,
@@ -76,7 +75,6 @@ __all__ = [
     "extremal_family",
     "from_edges",
     "graphs_of_order_and_size",
-    "induced_delete",
     "is_stable_general",
     "is_star_stable",
     "k0",

@@ -41,9 +41,11 @@ class Certificate:
     match: bool
 
 
-def write_certificate(cert: Certificate, path: str | Path) -> None:
-    payload = dataclasses.asdict(cert)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_certificate(cert: Certificate, path: str | Path) -> str:
+    """Write ``cert`` to ``path`` in the certificate file format and return the text written."""
+    text = json.dumps(dataclasses.asdict(cert), indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text)
+    return text
 
 
 def read_certificate(path: str | Path) -> Certificate:

@@ -16,21 +16,32 @@ from pathlib import Path
 from .canon import canonical_form
 from .certify import certify, enumerate_graphs_by_edges
 from .construct import bch_construct, recovery_embedding, star_instance
-from .errors import StarstabError
+from .errors import Graph6ParseError, StarstabError
 from .graph import Graph, decode_graph6, encode_graph6, export_dot, star
 from .stability import is_stable_general, is_star_stable
 from .theorem import extremal_family, stab_result
 
 
+# Well above the longest legal file, 350 bytes at order 64 with the >>graph6<< prefix.
+_MAX_GRAPH_FILE_BYTES = 4096
+
+
 def _read_graph_file(path: str) -> Graph:
-    return decode_graph6(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        data = f.read(_MAX_GRAPH_FILE_BYTES + 1)
+    if len(data) > _MAX_GRAPH_FILE_BYTES:
+        raise Graph6ParseError(f"graph6 input is longer than {_MAX_GRAPH_FILE_BYTES} bytes")
+    return decode_graph6(data)
 
 
 def _int(text: str) -> int:
     """An optional ASCII '-' then ASCII digits; int() alone also reads '1_0' and ' 4'."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_ints(text: str, error: str) -> tuple[int, ...]:
@@ -103,8 +114,7 @@ def _cmd_certify(args) -> int:
     from .certificate import write_certificate
 
     cert = certify(args.r, args.k)
-    write_certificate(cert, args.out)
-    print(Path(args.out).read_text(), end="")
+    print(write_certificate(cert, args.out), end="")
     if cert.match and cert.minimality_ok:
         return 0
     print(f"refuted: minimality_ok={cert.minimality_ok} match={cert.match}", file=sys.stderr)

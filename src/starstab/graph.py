@@ -5,8 +5,8 @@ iff ``uv`` is an edge, so each neighbourhood fits in one machine word and
 degree/intersection queries are single popcounts. Graph values are immutable;
 every operation returns a new graph, which makes them safe to share between
 concurrent workers. The builders compose the ``Graph`` constructor,
-:func:`from_edges`, :func:`complement`, :func:`conjunction` and the
-induced-subgraph helper, so each row-level operation is written once.
+:func:`from_edges`, :func:`complement` and :func:`conjunction`, so each
+row-level operation is written once.
 
 graph6 serialization follows the standard format: a header byte ``n + 63`` (at
 orders 63 and 64 the long form, ``~`` and n in three 6-bit groups), then the
@@ -203,6 +203,7 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows)))
 
 
+# Used only by the tests and by perfbench/tracing.py, whose SPANS wraps it by name.
 def induced_delete(g: Graph, faults: Iterable[int]) -> Graph:
     """Subgraph induced on the vertices outside ``faults``, which keep their order."""
     fset = frozenset(_check_vertex(v, g.n) for v in faults)
@@ -221,15 +222,7 @@ def _induced(g: Graph, order: Sequence[int]) -> Graph:
     """Subgraph induced on the listed vertices: new vertex i is old vertex
     order[i], and edges to vertices outside the list are dropped."""
     pos = {v: i for i, v in enumerate(order)}
-    rows = [0] * len(order)
-    for i, v in enumerate(order):
-        w = g.rows[v]
-        while w:
-            u = (w & -w).bit_length() - 1
-            w &= w - 1
-            if u in pos:
-                rows[i] |= 1 << pos[u]
-    return Graph(len(order), rows)
+    return from_edges(len(order), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
 
 
 def _pair_bits(rows: Sequence[int], order: Sequence[int]) -> int:

@@ -62,6 +62,18 @@ MUTANTS = [
      [f"tests/test_certify.py::TestEnumerateByEdges::"
       f"test_each_line_is_its_class_code_in_increasing_order[{case}]"
       for case in ("3-4", "6-12", "8-16")]),
+    ("certify-reads-back", "src/starstab/cli.py",
+     'print(write_certificate(cert, args.out), end="")',
+     'write_certificate(cert, args.out)\n    print(Path(args.out).read_text(), end="")',
+     ["tests/test_cli.py::TestCertify::test_prints_the_text_it_writes"]),
+    ("int-digit-limit", "src/starstab/cli.py",
+     "        try:\n            return int(text)\n"
+     "        except ValueError:  # more digits than sys.get_int_max_str_digits()\n"
+     "            pass\n",
+     "        return int(text)\n",
+     [f"tests/test_cli.py::TestIntegerArguments::{test}[past-digit-limit]"
+      for test in ("test_scalar_refused_by_the_parser",
+                   "test_list_and_library_refusals_keep_their_messages")]),
 ]
 
 

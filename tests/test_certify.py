@@ -453,6 +453,11 @@ class TestCertificatePersistence:
         write_certificate(cert, path)
         assert read_certificate(path) == cert
 
+    def test_write_returns_the_text_written(self, tmp_path):
+        path = tmp_path / "cert.json"
+        text = write_certificate(certify(3, 1), path)
+        assert path.read_bytes() == text.encode()
+
     def test_unknown_schema_rejected(self, tmp_path):
         cert = certify(3, 0)
         path = tmp_path / "cert.json"

@@ -12,12 +12,14 @@ import pytest
 import starstab
 from starstab import (
     canonical_form,
+    certify,
     decode_graph6,
     encode_graph6,
     from_edges,
     stab_value,
     star,
     star_stable,
+    write_certificate,
 )
 from starstab.cli import main
 
@@ -266,6 +268,22 @@ class TestCertify:
         assert payload["match"] is True and payload["minimality_ok"] is True
         assert json.loads(cert_path.read_text()) == payload
 
+    def test_prints_the_text_it_writes(self, capsys, tmp_path):
+        # the printed text is the value written, not the file read back
+        cert_path = tmp_path / "cert.json"
+        _, written, _ = run(capsys, "certify", "--r", "3", "--k", "0", "--out", str(cert_path))
+        code, out, _ = run(capsys, "certify", "--r", "3", "--k", "0", "--out", os.devnull)
+        assert code == 0
+        assert out == written == cert_path.read_text()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_dev_stdout_shows_the_text_twice(self, tmp_path):
+        # reading the certificate back from a pipe would wait for its own end
+        cert_path = tmp_path / "cert.json"
+        write_certificate(certify(3, 0), cert_path)
+        proc = run_cli_subprocess("certify", "--r", "3", "--k", "0", "--out", "/dev/stdout")
+        assert (proc.returncode, proc.stdout) == (0, cert_path.read_text() * 2)
+
     def test_capacity_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "certify", "--r", "5", "--k", "5",
                            "--out", str(tmp_path / "c.json"))
@@ -365,6 +383,9 @@ class TestEnumerate:
 class TestIntegerArguments:
     # An integer argument is an optional ASCII '-' then ASCII digits; int()
     # alone also reads underscores, surrounding whitespace and other digits.
+    # int() refuses more digits than Python's limit, and so does the CLI.
+    PAST_DIGIT_LIMIT = "1" * (sys.get_int_max_str_digits() + 1)
+
     @pytest.mark.parametrize("argv, refused", [
         (("stab", "--r", "\u0664", "--k", "1"), "--r: invalid int value: '\u0664'"),
         (("stab", "--r", "4", "--k", "1_0"), "--k: invalid int value: '1_0'"),
@@ -374,6 +395,8 @@ class TestIntegerArguments:
         (("enumerate", "--edges", "3", "--max-vertices", "4_0"),
          "--max-vertices: invalid int value: '4_0'"),
         (("enumerate", "--edges", "", "--max-vertices", "4"), "--edges: invalid int value: ''"),
+        pytest.param(("stab", "--r", "4", "--k", PAST_DIGIT_LIMIT),
+                     f"--k: invalid int value: '{PAST_DIGIT_LIMIT}'", id="past-digit-limit"),
     ])
     def test_scalar_refused_by_the_parser(self, capsys, argv, refused):
         with pytest.raises(SystemExit) as excinfo:
@@ -393,6 +416,9 @@ class TestIntegerArguments:
         (("construct", "--r", "3", "--k", "1", "--labelling", "1,-,3,4"),
          "labelling must be comma-separated integers, got '1,-,3,4'"),
         (("stab", "--r", "4", "--k", "-1"), "fault budget k must be an int >= 0, got -1"),
+        pytest.param(("recover", "--r", "3", "--k", "1", "--faults", PAST_DIGIT_LIMIT),
+                     f"faults must be comma-separated labels, got '{PAST_DIGIT_LIMIT}'",
+                     id="past-digit-limit"),
     ])
     def test_list_and_library_refusals_keep_their_messages(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -422,6 +448,19 @@ def test_graph_file_that_is_not_ascii_exits_2(capsys, tmp_path, argv):
     path.write_bytes(b"C\xff\n")
     code, out, err = run(capsys, *(arg.format(path) for arg in argv))
     assert (code, out, err) == (2, "", "error: graph6 input is not ASCII\n")
+
+
+@pytest.mark.parametrize("size, refused", [(4096, False), (4097, True)])
+def test_graph_file_is_read_within_a_byte_bound(capsys, tmp_path, size, refused):
+    # "Cs" padded with spaces is a legal file at any length; past the bound
+    # it is refused after reading one byte more, so /dev/zero is refused too
+    path = tmp_path / "g.g6"
+    path.write_text("Cs".ljust(size))
+    code, out, err = run(capsys, "verify", "--graph", str(path), "--r", "3", "--k", "0")
+    if refused:
+        assert (code, out, err) == (2, "", "error: graph6 input is longer than 4096 bytes\n")
+    else:
+        assert (code, json.loads(out)["stable"]) == (0, True)
 
 
 def test_unknown_subcommand_exits_2():

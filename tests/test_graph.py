@@ -25,14 +25,13 @@ from starstab import (
     encode_graph6,
     export_dot,
     from_edges,
-    induced_delete,
     near_complete_regular,
     pad,
     read_certificate,
     star,
     write_certificate,
 )
-from starstab.graph import permute, with_edge
+from starstab.graph import induced_delete, permute, with_edge
 from helpers import adjacent, degrees, random_graph
 
 

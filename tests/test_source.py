@@ -115,7 +115,7 @@ def test_public_names_are_pinned():
         "bch_construct", "canonical_form", "certify", "complement", "complete", "conjunction",
         "decode_graph6", "empty", "encode_graph6",
         "enumerate_graphs_by_edges", "export_dot", "extremal_family", "from_edges",
-        "graphs_of_order_and_size", "induced_delete", "is_stable_general", "is_star_stable",
+        "graphs_of_order_and_size", "is_stable_general", "is_star_stable",
         "k0", "k1", "near_complete_regular", "pad", "read_certificate", "recovery_embedding",
         "stab_result", "stab_value", "star", "star_stable", "write_certificate",
     ]

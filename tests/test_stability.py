@@ -15,7 +15,6 @@ from starstab import (
     empty,
     from_edges,
     graphs_of_order_and_size,
-    induced_delete,
     is_stable_general,
     is_star_stable,
     near_complete_regular,
@@ -24,7 +23,7 @@ from starstab import (
     star,
     star_stable,
 )
-from starstab.graph import with_edge
+from starstab.graph import induced_delete, with_edge
 from starstab.stability import _Budget, _embeds, sparse_complement_guarantees_stable
 from helpers import adjacent, all_labeled_graphs, cycle, degrees, random_graph
 
