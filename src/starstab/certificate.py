@@ -2,10 +2,11 @@
 
 A certificate file is one JSON object holding every field of
 :class:`Certificate` under its own name, keys sorted, indented by two spaces.
-Reading refuses, with ``SchemaMismatchError``, a file that is not JSON text
-or not an object, a schema version other than ``SCHEMA_VERSION`` (schema "1"
-held a wall time; ``certify`` remakes such a file), keys other than the fields,
-and a field not of its annotation's JSON type (code lists hold strings only).
+Reading refuses, with ``SchemaMismatchError``, a file longer than
+``_MAX_CERTIFICATE_BYTES``, one that is not JSON text or not an object, a
+schema version other than ``SCHEMA_VERSION`` (schema "1" held a wall time;
+``certify`` remakes such a file), keys other than the fields, and a field not
+of its annotation's JSON type (code lists hold strings only).
 
 The package imports this module on first use, because ``dataclasses`` would
 otherwise add to the start-up of every CLI call.
@@ -21,6 +22,10 @@ from pathlib import Path
 from .errors import SchemaMismatchError
 
 SCHEMA_VERSION = "2"
+
+# Above the longest certificate certify can write: a refutation lists one
+# census's stable classes, about 1.6 MB at most (4,613 order-64 codes).
+_MAX_CERTIFICATE_BYTES = 4 << 20
 
 # The JSON value types each Certificate field accepts, by its annotation text.
 _JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "tuple[str, ...]": (list,)}
@@ -49,8 +54,12 @@ def write_certificate(cert: Certificate, path: str | Path) -> str:
 
 
 def read_certificate(path: str | Path) -> Certificate:
+    with open(path, "rb") as f:
+        data = f.read(_MAX_CERTIFICATE_BYTES + 1)
+    if len(data) > _MAX_CERTIFICATE_BYTES:
+        raise SchemaMismatchError(f"certificate is longer than {_MAX_CERTIFICATE_BYTES} bytes")
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(data.decode())
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SchemaMismatchError(f"certificate is not JSON text: {exc}") from None
     if not isinstance(payload, dict):

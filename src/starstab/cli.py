@@ -64,7 +64,7 @@ def _cmd_construct(args) -> int:
     instance = bch_construct(pattern, args.k, labelling)
     print(encode_graph6(instance.result))
     if args.dot:
-        print(export_dot(instance.result, index_base=1), end="")
+        print(export_dot(instance.result), end="")
     return 0
 
 
@@ -74,25 +74,15 @@ def _cmd_verify(args) -> int:
         verdict = is_stable_general(g, _read_graph_file(args.pattern), args.k)
     else:
         verdict = is_star_stable(g, args.r, args.k)
-    _emit({
-        "stable": verdict.stable,
-        "witness": None if verdict.witness is None else [v + 1 for v in verdict.witness],
-        "checked_fault_sets": verdict.checked_fault_sets,
-    })
+    witness = None if verdict.witness is None else [v + 1 for v in verdict.witness]
+    _emit({**verdict._asdict(), "witness": witness})
     return 0
 
 
 def _cmd_stab(args) -> int:
-    result = stab_result(args.r, args.k)
-    _emit({
-        "r": result.r,
-        "k": result.k,
-        "case": result.case,
-        "value": result.value,
-        "k0": result.k0,
-        "k1": result.k1,
-        "extremal": [canonical_form(g) for g in extremal_family(args.r, args.k)],
-    })
+    record = stab_result(args.r, args.k)._asdict()
+    del record["extremal_descriptors"]
+    _emit({**record, "extremal": [canonical_form(g) for g in extremal_family(args.r, args.k)]})
     return 0
 
 
@@ -146,6 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "minimum-size results, and exhaustive certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rk = argparse.ArgumentParser(add_help=False)
+    rk.add_argument("--r", type=_int, required=True)
+    rk.add_argument("--k", type=_int, required=True)
 
     p = sub.add_parser("construct", help="spare-vertex expansion of a pattern")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -164,26 +157,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int, required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("stab", help="minimum stable size and extremal family")
-    p.add_argument("--r", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
+    p = sub.add_parser("stab", parents=[rk], help="minimum stable size and extremal family")
     p.set_defaults(func=_cmd_stab)
 
-    p = sub.add_parser("extremal", help="write one graph6 file per extremal graph")
-    p.add_argument("--r", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
+    p = sub.add_parser("extremal", parents=[rk], help="write one graph6 file per extremal graph")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_extremal)
 
-    p = sub.add_parser("certify", help="exhaustive minimality/extremal certification")
-    p.add_argument("--r", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
+    p = sub.add_parser("certify", parents=[rk], help="exhaustive minimality/extremal certification")
     p.add_argument("--out", required=True, help="certificate JSON path")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("recover", help="greedy re-embedding after faults")
-    p.add_argument("--r", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
+    p = sub.add_parser("recover", parents=[rk], help="greedy re-embedding after faults")
     p.add_argument("--faults", required=True, help="comma-separated 1-based fault labels")
     p.set_defaults(func=_cmd_recover)
 

@@ -18,4 +18,4 @@ class Graph6ParseError(StarstabError):
 
 
 class SchemaMismatchError(StarstabError):
-    """A persisted certificate has an unsupported schema version."""
+    """Any certificate file the reader refuses: too long, not JSON text, or not the schema."""

@@ -295,14 +295,15 @@ def decode_graph6(text: str | bytes) -> Graph:
     return from_edges(n, (p for p, bit in zip(pairs, f"{bits:0{npairs}b}") if bit == "1"))
 
 
-def export_dot(g: Graph, index_base: int = 0) -> str:
-    """Deterministic DOT text: one line per vertex, then one per edge (u < v)."""
-    if not isinstance(index_base, int):
-        raise InvalidParameterError(f"index_base must be an int, got {index_base!r}")
+def export_dot(g: Graph) -> str:
+    """Deterministic DOT text: one line per vertex, then one per edge (u < v).
+
+    Labels are 1-based, as in the CLI, the paper and ``bch_construct``'s labelling.
+    """
     lines = ["graph {"]
     for v in range(g.n):
-        lines.append(f"  {v + index_base};")
+        lines.append(f"  {v + 1};")
     for u, v in g.edges():
-        lines.append(f"  {u + index_base} -- {v + index_base};")
+        lines.append(f"  {u + 1} -- {v + 1};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,8 +18,8 @@ lists the digest of each case to name the ones that changed::
     PYTHONPATH=src python tests/cli_corpus.py > tests/cli_corpus.json
     PYTHONPATH=src python tests/cli_corpus.py --cases
 
-The module uses only the standard library and starstab; pytest does not
-collect it.
+The module uses only the standard library, starstab and ``tests/helpers.py``;
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from pathlib import Path
 
 from starstab import bch_construct, encode_graph6, extremal_family, from_edges, star_stable
 from starstab.cli import main
+from helpers import CERTIFICATION_GRID
 
 # The stab and extremal queries of the benchmark: every regime of the closed form.
 STAB_QUERIES = ([(3, k) for k in (0, 5, 12)] + [(4, k) for k in range(13)]
                 + [(6, k) for k in (0, 10, 22)] + [(8, k) for k in (0, 20, 40)])
-# The acceptance grid of certify.
-CERTIFICATION_GRID = [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2),
-                      (4, 7), (4, 8), (4, 9), (4, 10), (5, 0), (5, 1), (5, 2)]
 SPARE_HOSTS = [(8, 9), (9, 10), (10, 11)]
 # Order-6 patterns as edge lists, each with a labelling, expanded for 2 faults.
 PATTERNS = [

@@ -1,8 +1,15 @@
-"""Graph generators shared by the test modules (not collected by pytest)."""
+"""Graphs, generators and (r, k) grids shared by the test modules and scripts
+(not collected by pytest)."""
 
 from itertools import combinations
 
 from starstab import from_edges
+
+# The (r, k) pairs of the certification grid of acceptance criterion 6.
+CERTIFICATION_GRID = [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2),
+                      (4, 7), (4, 8), (4, 9), (4, 10), (5, 0), (5, 1), (5, 2)]
+# The four-vertex pattern of the worked example: a triangle with a pendant vertex.
+WORKED_PATTERN = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
 
 
 def random_graph(rng, n, p=0.5):

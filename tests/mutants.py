@@ -74,6 +74,24 @@ MUTANTS = [
      [f"tests/test_cli.py::TestIntegerArguments::{test}[past-digit-limit]"
       for test in ("test_scalar_refused_by_the_parser",
                    "test_list_and_library_refusals_keep_their_messages")]),
+    ("dot-zero-based", "src/starstab/graph.py",
+     'lines.append(f"  {v + 1};")', 'lines.append(f"  {v};")',
+     ["tests/test_cli_corpus.py::test_group_digest_is_pinned[construct]",
+      "tests/test_graph.py::TestDot::test_empty_pair",
+      "tests/test_graph.py::TestDot::test_star_edges_from_center"]),
+    ("certificate-read-unbounded", "src/starstab/certificate.py",
+     '    with open(path, "rb") as f:\n'
+     "        data = f.read(_MAX_CERTIFICATE_BYTES + 1)\n"
+     "    if len(data) > _MAX_CERTIFICATE_BYTES:\n"
+     "        raise SchemaMismatchError("
+     'f"certificate is longer than {_MAX_CERTIFICATE_BYTES} bytes")\n'
+     "    try:\n"
+     "        payload = json.loads(data.decode())\n",
+     "    try:\n"
+     "        payload = json.loads(Path(path).read_text())\n",
+     ["tests/test_certify.py::TestCertificatePersistence::"
+      "test_file_is_read_within_a_byte_bound[past-bound]",
+      "tests/test_certify.py::TestCertificatePersistence::test_endless_file_refused"]),
 ]
 
 

@@ -1,14 +1,18 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
 import sys
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
+import starstab
 from starstab import (
     CapacityExceededError,
     Certificate,
@@ -29,9 +33,10 @@ from starstab import (
     star_stable,
     write_certificate,
 )
+from starstab.certificate import _MAX_CERTIFICATE_BYTES
 from starstab.certify import _connected_reps, _edge_class_reps
 from starstab.graph import with_edge
-from helpers import adjacent, all_labeled_graphs, is_connected
+from helpers import CERTIFICATION_GRID, adjacent, all_labeled_graphs, is_connected
 
 
 def is_connected_support(g):
@@ -120,11 +125,6 @@ def reference_edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
         for candidate in _extensions(h, cap):
             seen.setdefault(canonical_form(candidate), None)
     return tuple(decode_graph6(code) for code in sorted(seen))
-
-
-# The (r, k) pairs of the certification grid of acceptance criterion 6.
-CERTIFICATION_GRID = [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2),
-                      (4, 7), (4, 8), (4, 9), (4, 10), (5, 0), (5, 1), (5, 2)]
 
 
 def census_levels(r, k):
@@ -534,6 +534,36 @@ class TestCertificatePersistence:
         path.write_bytes(text(path.read_bytes()))
         with pytest.raises(SchemaMismatchError, match="^certificate is not JSON text: "):
             read_certificate(path)
+
+    # A certificate padded with spaces is legal JSON at any length; past the
+    # bound it is refused after reading one byte more.
+    @pytest.mark.parametrize("size, refused", [
+        (_MAX_CERTIFICATE_BYTES, False), (_MAX_CERTIFICATE_BYTES + 1, True),
+    ], ids=["at-bound", "past-bound"])
+    def test_file_is_read_within_a_byte_bound(self, tmp_path, size, refused):
+        path = tmp_path / "cert.json"
+        cert = certify(3, 0)
+        path.write_bytes(write_certificate(cert, path).encode().ljust(size))
+        if refused:
+            with pytest.raises(SchemaMismatchError, match=(
+                    f"^certificate is longer than {_MAX_CERTIFICATE_BYTES} bytes$")):
+                read_certificate(path)
+        else:
+            assert read_certificate(path) == cert
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file_refused(self):
+        # in a child limited to 1 GiB of address space, so a reader without the
+        # bound fails with MemoryError instead of taking the host's memory
+        code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from starstab import read_certificate\n"
+                "read_certificate('/dev/zero')\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(starstab.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(
+            f"SchemaMismatchError: certificate is longer than {_MAX_CERTIFICATE_BYTES} bytes\n")
 
     def test_refutation_is_persistable(self, tmp_path):
         refutation = Certificate(

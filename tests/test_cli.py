@@ -15,6 +15,7 @@ from starstab import (
     certify,
     decode_graph6,
     encode_graph6,
+    export_dot,
     from_edges,
     stab_value,
     star,
@@ -56,6 +57,13 @@ class TestConstruct:
         assert code == 0
         assert "1 -- 2;" in out
 
+    def test_dot_is_the_library_text(self, capsys):
+        # both are 1-based, so the CLI prints export_dot's text unchanged
+        result = starstab.bch_construct(star(4), 2, (1, 2, 3, 4, 5)).result
+        code, out, _ = run(capsys, "construct", "--r", "4", "--k", "2", "--dot")
+        assert code == 0
+        assert out == encode_graph6(result) + "\n" + export_dot(result)
+
     def test_pattern_and_r_mutually_exclusive(self, capsys, tmp_path):
         pattern = tmp_path / "h.g6"
         pattern.write_text("Cs\n")
@@ -89,6 +97,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--graph", str(path), "--r", "3", "--k", "1")
         assert code == 0
         verdict = json.loads(out)
+        assert set(verdict) == set(starstab.StabilityVerdict._fields)
         assert verdict["stable"] is True
         assert verdict["witness"] is None
         assert verdict["checked_fault_sets"] == 5
@@ -186,6 +195,9 @@ class TestStab:
         code, out, _ = run(capsys, "stab", "--r", "8", "--k", "7")
         assert code == 0
         payload = json.loads(out)
+        # the StabResult record, with the extremal codes for the descriptors
+        fields = set(starstab.StabResult._fields) - {"extremal_descriptors"} | {"extremal"}
+        assert set(payload) == fields
         assert payload["value"] == 92
         assert payload["case"] == "EVEN_R_SMALL_K"
         assert payload["k0"] == 49 and payload["k1"] == 47
@@ -395,6 +407,10 @@ class TestIntegerArguments:
         (("enumerate", "--edges", "3", "--max-vertices", "4_0"),
          "--max-vertices: invalid int value: '4_0'"),
         (("enumerate", "--edges", "", "--max-vertices", "4"), "--edges: invalid int value: ''"),
+        # the (r, k) subcommands share one --r/--k declaration
+        (("extremal", "--r", "x", "--k", "1", "--out", "fam"), "--r: invalid int value: 'x'"),
+        (("certify", "--r", "x", "--k", "1", "--out", "c.json"), "--r: invalid int value: 'x'"),
+        (("recover", "--r", "x", "--k", "1", "--faults", "1"), "--r: invalid int value: 'x'"),
         pytest.param(("stab", "--r", "4", "--k", PAST_DIGIT_LIMIT),
                      f"--k: invalid int value: '{PAST_DIGIT_LIMIT}'", id="past-digit-limit"),
     ])
@@ -422,6 +438,19 @@ class TestIntegerArguments:
     ])
     def test_list_and_library_refusals_keep_their_messages(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    # The (r, k) subcommands share one --r/--k declaration, and each still
+    # names itself when --k is missing.
+    @pytest.mark.parametrize("argv", [
+        ("stab", "--r", "3"), ("extremal", "--r", "3", "--out", "fam"),
+        ("certify", "--r", "3", "--out", "c.json"), ("recover", "--r", "3", "--faults", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_missing_budget_refused_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"\nstarstab {argv[0]}: error: the following arguments are required: --k\n")
 
 
 @pytest.mark.parametrize("policy", ["default", "error"])

@@ -25,10 +25,9 @@ from starstab import (
 )
 from starstab.cli import main
 from starstab.construct import star_instance
-from helpers import adjacent, all_labeled_graphs, degrees, random_graph, random_labelling
-
-
-WORKED_PATTERN = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
+from helpers import (
+    WORKED_PATTERN, adjacent, all_labeled_graphs, degrees, random_graph, random_labelling,
+)
 
 
 def reference_expansion(pattern, k, labelling):

@@ -359,7 +359,6 @@ class TestIntegerArguments:
         "with_edge-v": lambda: with_edge(empty(3), 0, "1"),
         "induced_delete": lambda: induced_delete(complete(3), ["0"]),
         "permute": lambda: permute(complete(3), ("0", "1", "2")),
-        "export_dot": lambda: export_dot(star(3), "1"),
         "stab_value-r": lambda: starstab.stab_value("4", 2),
         "stab_value-k": lambda: starstab.stab_value(4, "2"),
         "stab_case-r": lambda: starstab.theorem.stab_case("4", 2),
@@ -399,7 +398,6 @@ class TestIntegerArguments:
         "k1": r"^boundary constants apply to even r >= 4, got '4'$",
         "graphs_of_order_and_size-m": r"^size '3' impossible at order 8$",
         "enumerate_graphs_by_edges-e": r"^size '3' impossible at order 4$",
-        "export_dot": r"^index_base must be an int, got '1'$",
     }
 
     @pytest.mark.parametrize("call", STR_MESSAGES)
@@ -461,7 +459,6 @@ class TestIntegerArguments:
         assert permute(complete(2), (True, False)) == complete(2)
         assert induced_delete(complete(3), [True]) == complete(2)
         assert with_edge(empty(2), False, True) == complete(2)
-        assert export_dot(star(3), True) == export_dot(star(3), 1)
         # a certificate stores the budget as an int, so the file reads back
         cert = certify(3, True)
         write_certificate(cert, tmp_path / "cert.json")
@@ -541,21 +538,13 @@ class TestGraph6:
 
 
 class TestDot:
+    # Labels are 1-based, as in the CLI and the paper.
     def test_empty_pair(self):
-        lines = export_dot(empty(2)).splitlines()
-        assert lines[1:3] == ["  0;", "  1;"]
-        assert not any("--" in line for line in lines)
+        assert export_dot(empty(2)) == "graph {\n  1;\n  2;\n}\n"
 
     def test_single_edge(self):
-        assert "  0 -- 1;" in export_dot(complete(2))
+        assert "  1 -- 2;" in export_dot(complete(2))
 
     def test_star_edges_from_center(self):
-        edge_lines = [l for l in export_dot(star(3)).splitlines() if "--" in l]
-        assert edge_lines == ["  0 -- 1;", "  0 -- 2;", "  0 -- 3;"]
-
-    def test_one_based_option(self):
-        assert "  1 -- 2;" in export_dot(complete(2), index_base=1)
-
-    def test_index_base_must_be_an_int(self):
-        with pytest.raises(InvalidParameterError, match=r"^index_base must be an int, got 0\.5$"):
-            export_dot(star(3), 0.5)
+        assert export_dot(star(3)) == (
+            "graph {\n  1;\n  2;\n  3;\n  4;\n  1 -- 2;\n  1 -- 3;\n  1 -- 4;\n}\n")

@@ -89,6 +89,18 @@ def test_only_the_package_declares_all():
     assert declaring == ["__init__.py"]
 
 
+def test_only_the_cli_entry_point_has_a_defaulted_parameter():
+    # A library call behaves one way for one argument list; main's argv
+    # defaults to the command line for the console script.
+    defaulted = []
+    for path in sorted(Path(starstab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and (
+                    node.args.defaults or any(node.args.kw_defaults)):
+                defaulted.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert defaulted == ["cli.main"]
+
+
 def test_no_module_imports_warnings():
     # The library has no warning channel: each input is served or refused
     # with an error, so nothing can turn into a failure under -W error.

@@ -25,7 +25,7 @@ from starstab import (
 )
 from starstab.graph import induced_delete, with_edge
 from starstab.stability import _Budget, _embeds, sparse_complement_guarantees_stable
-from helpers import adjacent, all_labeled_graphs, cycle, degrees, random_graph
+from helpers import WORKED_PATTERN, adjacent, all_labeled_graphs, cycle, degrees, random_graph
 
 
 def contains_subgraph(g, pattern):
@@ -116,7 +116,6 @@ def star_stable_by_subsets(g, r, k):
     return True
 
 
-WORKED_PATTERN = from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
 # the 13-edge fault-tolerant expansion of WORKED_PATTERN, 1-based labels
 WORKED_EXPANSION = from_edges(6, [
     (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
