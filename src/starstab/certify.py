@@ -29,7 +29,9 @@ A class without isolated vertices is the disjoint union of a multiset of
 connected classes whose edges sum to e and whose orders fit the vertex
 budget. Two different multisets give non-isomorphic unions, because the
 components of a graph are determined up to isomorphism, so this level makes
-no canonical call and needs no deduplication.
+no canonical call and needs no deduplication. It keeps nothing either: each
+census builds its unions once, at order n, as it yields them. Only the
+connected levels are cached.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .canon import canonical_form
 from .errors import CapacityExceededError, InvalidParameterError
-from .graph import Graph, _check_order, complement, from_edges, pad
+from .graph import Graph, _check_order, complement, from_edges
 from .stability import is_star_stable, sparse_complement_guarantees_stable
 from .theorem import extremal_family, stab_result
 
@@ -111,30 +113,6 @@ def _connected_reps(e: int, cap: int) -> tuple[Graph, ...]:
     return tuple(g for _, g in sorted(seen.items()))
 
 
-@lru_cache(maxsize=None)
-def _edge_class_reps(e: int, cap: int) -> tuple[Graph, ...]:
-    """One representative per iso class with e edges, no isolated vertices and
-    order <= cap: the disjoint unions of multisets of connected classes, in
-    multiset order."""
-    parts = [(j, rep) for j in range(1, e + 1) for rep in _connected_reps(j, min(cap, j + 1))]
-    reps: list[Graph] = []
-
-    def unions(start: int, edges_left: int, rows: tuple[int, ...]) -> None:
-        if not edges_left:
-            reps.append(Graph(len(rows), rows))
-            return
-        for i in range(start, len(parts)):
-            j, part = parts[i]
-            if j > edges_left:
-                break
-            if len(rows) + part.n <= cap:
-                shift = len(rows)
-                unions(i, edges_left - j, rows + tuple(row << shift for row in part.rows))
-
-    unions(0, e, ())
-    return tuple(reps)
-
-
 def enumerate_graphs_by_edges(e: int, max_vertices: int) -> Iterator[str]:
     """The canonical graph6 code of each iso class with e edges fitting in
     max_vertices, at order max_vertices, in increasing code order; a caller
@@ -153,23 +131,39 @@ def graphs_of_order_and_size(n: int, m: int) -> Iterator[Graph]:
     e < m, is without its isolated vertices a multiset of connected classes
     with e edges in all; these are ordered by edge count, then by canonical
     code, and the multisets come in lexicographic order of their
-    non-decreasing index lists. Representatives are not canonically labelled.
-    Arguments are checked at the first next().
+    non-decreasing index lists. Each union is built once, at order n, as it is
+    yielded; only the connected levels are cached. Representatives are not
+    canonically labelled. Arguments are checked at the first next().
     """
     n = _check_order(n)
     if not (isinstance(m, int) and 0 <= m <= comb(n, 2)):
         raise InvalidParameterError(f"size {m!r} impossible at order {n}")
     e = min(m, comb(n, 2) - m)
     cap, work = min(n, 2 * e), 0
+    levels = [_connected_reps(1, 2)] if e else []
     for j in range(2, e + 1):  # level j adds a non-edge or a pendant edge to level j-1
         work += sum(comb(h.n, 2) - (j - 1) + (h.n if h.n < min(cap, j + 1) else 0)
-                    for h in _connected_reps(j - 1, min(cap, j)))
+                    for h in levels[-1])
         if work > MAX_CENSUS_WORK:
             raise CapacityExceededError(f"census work budget exceeded: {e} census edges at "
                                         f"order {n} need more than {MAX_CENSUS_WORK} candidates")
-    for rep in _edge_class_reps(e, cap):
-        g = pad(rep, n)
-        yield g if e == m else complement(g)
+        levels.append(_connected_reps(j, min(cap, j + 1)))
+    parts = [(j, h.rows) for j, level in enumerate(levels, start=1) for h in level]
+
+    def unions(start: int, edges_left: int, rows: tuple[int, ...]) -> Iterator[Graph]:
+        if not edges_left:
+            g = Graph(n, rows + (0,) * (n - len(rows)))
+            yield g if e == m else complement(g)
+            return
+        for i in range(start, len(parts)):
+            j, part = parts[i]
+            if j > edges_left:
+                break
+            if len(rows) + len(part) <= cap:
+                shift = len(rows)
+                yield from unions(i, edges_left - j, rows + tuple(row << shift for row in part))
+
+    yield from unions(0, e, ())
 
 
 def certify(r: int, k: int) -> Certificate:

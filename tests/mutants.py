@@ -56,6 +56,11 @@ MUTANTS = [
     ("multiset-without-repeats", "src/starstab/certify.py",
      "unions(i, edges_left - j", "unions(i + 1, edges_left - j",
      ["tests/test_certify.py::TestCensusLevels::test_edge_class_counts_match_oeis_a000664"]),
+    ("census-dense-side-uncomplemented", "src/starstab/certify.py",
+     "yield g if e == m else complement(g)", "yield g",
+     ["tests/test_certify.py::TestGraphsOfOrderAndSize::test_complete_graph_class",
+      *[f"tests/test_certify.py::TestGraphsOfOrderAndSize::test_complete_census_small_orders[{n}]"
+        for n in (3, 4, 5)]]),
     ("enumerate-unsorted", "src/starstab/certify.py",
      "yield from sorted(map(canonical_form, graphs_of_order_and_size(max_vertices, e)))",
      "yield from map(canonical_form, graphs_of_order_and_size(max_vertices, e))",

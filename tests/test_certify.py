@@ -34,7 +34,7 @@ from starstab import (
     write_certificate,
 )
 from starstab.certificate import _MAX_CERTIFICATE_BYTES
-from starstab.certify import _connected_reps, _edge_class_reps
+from starstab.certify import _connected_reps
 from starstab.graph import with_edge
 from helpers import CERTIFICATION_GRID, adjacent, all_labeled_graphs, is_connected
 
@@ -232,11 +232,12 @@ class TestCensusLevels:
 
     @pytest.mark.parametrize("e, cap", GRID_LEVELS)
     def test_same_classes_as_reference(self, e, cap):
-        reps = _edge_class_reps(e, cap)
+        reps = list(graphs_of_order_and_size(cap, e))
         codes = [canonical_form(g) for g in reps]
         assert len(set(codes)) == len(codes)
-        assert set(codes) == {canonical_form(g) for g in reference_edge_class_reps(e, cap)}
-        assert all(g.size == e and g.n <= cap and all(g.rows) for g in reps)
+        reference = reference_edge_class_reps(e, cap)
+        assert set(codes) == {canonical_form(pad(g, cap)) for g in reference}
+        assert all(g.n == cap and g.size == e for g in reps)
 
     # Published counts quoted from OEIS, not re-checked against the online
     # entries: A002905, connected graphs with e edges, and A000664, graphs
@@ -248,10 +249,11 @@ class TestCensusLevels:
             assert all(g.size == e and is_connected(g) for g in reps)
 
     def test_edge_class_counts_match_oeis_a000664(self):
+        # every class with e edges and no isolated vertices fits in order 2e
         for e, count in enumerate([1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613], start=1):
-            reps = _edge_class_reps(e, 2 * e)
+            reps = list(graphs_of_order_and_size(2 * e, e))
             assert len(reps) == count
-            assert all(g.size == e and all(g.rows) for g in reps)
+            assert all(g.n == 2 * e and g.size == e for g in reps)
 
 
 class TestGraphsOfOrderAndSize:
@@ -282,7 +284,6 @@ class TestGraphsOfOrderAndSize:
     def test_census_order_is_deterministic(self):
         first = list(graphs_of_order_and_size(8, 17))
         _connected_reps.cache_clear()
-        _edge_class_reps.cache_clear()
         assert list(graphs_of_order_and_size(8, 17)) == first
 
     def test_validation(self):
@@ -432,8 +433,8 @@ class TestCensusWorkBudget:
 
         monkeypatch.setattr(census, "_new_edge_is_largest", counted)
         monkeypatch.setattr(census, "MAX_CENSUS_WORK", work)
-        for name in ("_connected_reps", "_edge_class_reps"):
-            monkeypatch.setattr(census, name, lru_cache(getattr(census, name).__wrapped__))
+        monkeypatch.setattr(census, "_connected_reps",
+                            lru_cache(census._connected_reps.__wrapped__))
         assert len(list(graphs_of_order_and_size(n, m))) == classes
         assert calls == work
         monkeypatch.setattr(census, "MAX_CENSUS_WORK", work - 1)
