@@ -33,7 +33,6 @@ from .graph import (
     export_dot,
     from_edges,
     near_complete_regular,
-    pad,
     star,
 )
 from .stability import (
@@ -80,7 +79,6 @@ __all__ = [
     "k0",
     "k1",
     "near_complete_regular",
-    "pad",
     "read_certificate",
     "recovery_embedding",
     "stab_result",

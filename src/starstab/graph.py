@@ -147,14 +147,12 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         except (TypeError, ValueError):
             raise InvalidParameterError(f"edge {edge!r} is not a pair of vertices") from None
         u, v = _check_vertex(u, n), _check_vertex(v, n)
-        if u == v:
-            raise InvalidParameterError(f"loop at vertex {u} rejected")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
 
 
-# Used only by the tests and by perfbench/tracing.py, whose SPANS wraps it by name.
+# with_edge and pad: used only by the tests and by perfbench/tracing.py, whose SPANS wraps them.
 def with_edge(g: Graph, u: int, v: int) -> Graph:
     """Copy of g with edge uv added."""
     return from_edges(g.n, [*g.edges(), (u, v)])

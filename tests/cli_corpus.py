@@ -24,19 +24,13 @@ pytest does not collect it.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
-import os
 import random
 import sys
-import tempfile
-from pathlib import Path
 
 from starstab import bch_construct, encode_graph6, extremal_family, from_edges, star_stable
-from starstab.cli import main
-from helpers import CERTIFICATION_GRID
+from helpers import CERTIFICATION_GRID, run_case
 
 # The stab and extremal queries of the benchmark: every regime of the closed form.
 STAB_QUERIES = ([(3, k) for k in (0, 5, 12)] + [(4, k) for k in range(13)]
@@ -209,31 +203,6 @@ CASES = {
     "top-orders": _top_order_cases(),
     "seeded": _seeded_cases(),
 }
-
-
-def run_case(argv: list[str], inputs: dict[str, str | bytes]) -> dict:
-    """The record of one CLI call in a new directory holding ``inputs``."""
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for name, data in inputs.items():
-            path = root / name
-            path.write_bytes(data if isinstance(data, bytes) else data.encode())
-        out, err = io.StringIO(), io.StringIO()
-        os.chdir(root)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                    stderr = err.getvalue()
-                except SystemExit as exc:
-                    code = exc.code
-                    stderr = err.getvalue().splitlines()[-1]
-        finally:
-            os.chdir(cwd)
-        files = {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-                 for p in sorted(root.rglob("*")) if p.is_file()}
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": stderr, "files": files}
 
 
 def case_digests(group: str) -> list[tuple[str, str]]:

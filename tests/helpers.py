@@ -1,9 +1,16 @@
-"""Graphs, generators and (r, k) grids shared by the test modules and scripts
-(not collected by pytest)."""
+"""Graphs, generators, (r, k) grids and the in-process CLI runner shared by
+the test modules and scripts (not collected by pytest)."""
 
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 from starstab import from_edges
+from starstab.cli import main
 
 # The (r, k) pairs of the certification grid of acceptance criterion 6.
 CERTIFICATION_GRID = [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2),
@@ -53,3 +60,30 @@ def adjacent(g, u, v):
 
 def degrees(g):
     return tuple(row.bit_count() for row in g.rows)
+
+
+def run_case(argv: list[str], inputs: dict[str, str | bytes]) -> dict:
+    """The record of one in-process CLI call in a new directory holding
+    ``inputs``: its argv, exit code, stdout, stderr (only the last line after
+    an argparse refusal) and the sha256 of each file left in the directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in inputs.items():
+            path = root / name
+            path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                    stderr = err.getvalue()
+                except SystemExit as exc:
+                    code = exc.code
+                    stderr = err.getvalue().splitlines()[-1]
+        finally:
+            os.chdir(cwd)
+        files = {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": stderr, "files": files}

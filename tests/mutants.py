@@ -36,6 +36,11 @@ MUTANTS = [
     ("fault-budget-unconverted", "src/starstab/graph.py",
      'got {k!r}")\n    return int(k)', 'got {k!r}")\n    return k',
      ["tests/test_graph.py::TestIntegerArguments::test_bools_count_as_ints"]),
+    ("graph-loop-unchecked", "src/starstab/graph.py",
+     "if row >> v & 1:", "if False:",
+     ["tests/test_graph.py::TestGraphType::test_rejects_loop",
+      "tests/test_graph.py::TestGraphType::test_from_edges_rejects_loop_and_range",
+      "tests/test_graph.py::test_invalid_values_refused_under_optimize_flag"]),
     ("graph6-strips-unicode-whitespace", "src/starstab/graph.py",
      's = text.strip(" \\t\\n\\r\\v\\f")', "s = text.strip()",
      ["tests/test_cli_corpus.py::test_group_digest_is_pinned[refusals]"]),

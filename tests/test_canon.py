@@ -14,13 +14,12 @@ from starstab import (
     from_edges,
     graphs_of_order_and_size,
     near_complete_regular,
-    pad,
     stab_value,
     star,
     star_stable,
 )
 from starstab.canon import _refine, _twin_representatives
-from starstab.graph import _graph6_text, _pair_bits, permute
+from starstab.graph import _graph6_text, _pair_bits, pad, permute
 from helpers import all_labeled_graphs, cycle, random_graph
 
 

@@ -27,7 +27,6 @@ from starstab import (
     enumerate_graphs_by_edges,
     from_edges,
     graphs_of_order_and_size,
-    pad,
     read_certificate,
     stab_value,
     star_stable,
@@ -35,7 +34,7 @@ from starstab import (
 )
 from starstab.certificate import _MAX_CERTIFICATE_BYTES
 from starstab.certify import _connected_reps
-from starstab.graph import with_edge
+from starstab.graph import pad, with_edge
 from helpers import CERTIFICATION_GRID, adjacent, all_labeled_graphs, is_connected
 
 

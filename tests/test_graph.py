@@ -26,12 +26,11 @@ from starstab import (
     export_dot,
     from_edges,
     near_complete_regular,
-    pad,
     read_certificate,
     star,
     write_certificate,
 )
-from starstab.graph import induced_delete, permute, with_edge
+from starstab.graph import induced_delete, pad, permute, with_edge
 from helpers import adjacent, degrees, random_graph
 
 

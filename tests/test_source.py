@@ -71,9 +71,11 @@ def test_cli_import_leaves_out_dataclasses():
 
 def test_each_input_rule_is_worded_once():
     # The star size, fault budget and vertex rules are each checked by one
-    # function in graph.py, which every caller uses.
+    # function in graph.py, which every caller uses, and the loop rule by the
+    # Graph constructor alone.
     text = "".join(path.read_text() for path in Path(starstab.__file__).parent.glob("*.py"))
-    for message in ("star size r must be", "fault budget k must be", "out of range for order"):
+    for message in ("star size r must be", "fault budget k must be", "out of range for order",
+                    "loop at vertex"):
         assert text.count(message) == 1, message
 
 
@@ -128,7 +130,7 @@ def test_public_names_are_pinned():
         "decode_graph6", "empty", "encode_graph6",
         "enumerate_graphs_by_edges", "export_dot", "extremal_family", "from_edges",
         "graphs_of_order_and_size", "is_stable_general", "is_star_stable",
-        "k0", "k1", "near_complete_regular", "pad", "read_certificate", "recovery_embedding",
+        "k0", "k1", "near_complete_regular", "read_certificate", "recovery_embedding",
         "stab_result", "stab_value", "star", "star_stable", "write_certificate",
     ]
     for name in starstab.__all__:

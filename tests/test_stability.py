@@ -18,12 +18,11 @@ from starstab import (
     is_stable_general,
     is_star_stable,
     near_complete_regular,
-    pad,
     stab_value,
     star,
     star_stable,
 )
-from starstab.graph import induced_delete, with_edge
+from starstab.graph import induced_delete, pad, with_edge
 from starstab.stability import _Budget, _embeds, sparse_complement_guarantees_stable
 from helpers import WORKED_PATTERN, adjacent, all_labeled_graphs, cycle, degrees, random_graph
 
